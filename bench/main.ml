@@ -625,7 +625,34 @@ let disk ctx =
         [ ("cold-256", 256, false); ("warm-16k", 16_384, true) ];
       print_newline ();
       print_endline "the cold run is the paper's regime: every candidate probe may fetch";
-      print_endline "pages, so the full block costs orders of magnitude more than in RAM.")
+      print_endline "pages, so the full block costs orders of magnitude more than in RAM.";
+      (* The set-at-a-time path: EVALUATE article//journal folds every
+         start's L_out once and probes each target's L_in once. *)
+      match (C.tag_id ctx.collection "article", C.tag_id ctx.collection "journal") with
+      | Some start, Some target ->
+          Printf.printf "\nEVALUATE article//journal (set-at-a-time)\n";
+          Printf.printf "%-12s %10s %14s %15s %10s\n" "pool" "wall ms" "label logical"
+            "label physical" "results";
+          List.iter
+            (fun (label, pool_pages, warm) ->
+              Gc.compact ();
+              let d = Fx_index.Disk_hopi.open_ ~pool_pages ~path:prefix () in
+              Fx_index.Disk_hopi.drop_pools d;
+              let run () =
+                let starts = Fx_index.Disk_hopi.nodes_by_tag d start in
+                Fx_index.Disk_hopi.evaluate d ~starts ~target
+              in
+              if warm then ignore (run ());
+              let ls0, _ = Fx_index.Disk_hopi.stats d in
+              let results, s = timed run in
+              let ls, _ = Fx_index.Disk_hopi.stats d in
+              Printf.printf "%-12s %10.2f %14d %15d %10d\n%!" label (1000.0 *. s)
+                (ls.Fx_store.Pager.logical_reads - ls0.Fx_store.Pager.logical_reads)
+                (ls.Fx_store.Pager.physical_reads - ls0.Fx_store.Pager.physical_reads)
+                (List.length results);
+              Fx_index.Disk_hopi.close d)
+            [ ("cold-256", 256, false); ("warm-16k", 16_384, true) ]
+      | _ -> print_endline "\n(no article/journal tags: EVALUATE row skipped)")
 
 (* ------------------------------------------------------------------ *)
 (* serve: the query service under concurrent client load — throughput

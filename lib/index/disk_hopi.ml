@@ -35,41 +35,6 @@ let n_nodes t = t.n
 let distance t x y = Disk_labels.distance t.labels x y
 let reachable t x y = distance t x y <> None
 
-let descendants_by_tag t x want =
-  let acc = ref [] in
-  let probe node =
-    match distance t x node with Some d -> acc := (node, d) :: !acc | None -> ()
-  in
-  (match want with
-  | Some w -> Btree.iter_range t.tags ~lo:(tag_key ~tag:w ~node:0)
-                ~hi:(tag_key ~tag:w ~node:((1 lsl shift) - 1))
-                (fun _ node -> probe node)
-  | None ->
-      (* Wildcard sweep: every label record gets touched in handle
-         (file) order — announce the scan so the pool fills with large
-         sequential reads instead of per-probe misses. *)
-      Disk_labels.prefetch_all t.labels;
-      for node = 0 to t.n - 1 do
-        probe node
-      done);
-  Path_index.sort_results !acc
-
-let ancestors_by_tag t x want =
-  let acc = ref [] in
-  let probe node =
-    match distance t node x with Some d -> acc := (node, d) :: !acc | None -> ()
-  in
-  (match want with
-  | Some w -> Btree.iter_range t.tags ~lo:(tag_key ~tag:w ~node:0)
-                ~hi:(tag_key ~tag:w ~node:((1 lsl shift) - 1))
-                (fun _ node -> probe node)
-  | None ->
-      Disk_labels.prefetch_all t.labels;
-      for node = 0 to t.n - 1 do
-        probe node
-      done);
-  Path_index.sort_results !acc
-
 let nodes_by_tag t tag =
   if tag < 0 then []
   else begin
@@ -80,17 +45,104 @@ let nodes_by_tag t tag =
     List.rev !acc
   end
 
-let restricted_descendants t x set =
-  let acc = ref [] in
-  Fx_graph.Bitset.iter set (fun v ->
-      match distance t x v with Some d -> acc := (v, d) :: !acc | None -> ());
-  Path_index.sort_results !acc
+exception Cut of (int * int) list
+exception Stopped
 
-let restricted_ancestors t x set =
+(* Before every 64th label fetch, ask [stop] whether to give up. *)
+let poller = function
+  | None -> ignore
+  | Some stop ->
+      let fetches = ref 0 in
+      fun () ->
+        if !fetches land 63 = 0 && stop () then raise_notrace Stopped;
+        incr fetches
+
+(* Score every candidate [iter] yields with [probe] (None: unreachable),
+   distance-sorted; a cut raises [Cut] with the hits found so far. *)
+let collect ~poll iter probe =
   let acc = ref [] in
-  Fx_graph.Bitset.iter set (fun v ->
-      match distance t v x with Some d -> acc := (v, d) :: !acc | None -> ());
-  Path_index.sort_results !acc
+  match
+    iter (fun v ->
+        poll ();
+        match probe v with Some d -> acc := (v, d) :: !acc | None -> ())
+  with
+  | () -> Path_index.sort_results !acc
+  | exception Stopped -> raise (Cut (Path_index.sort_results !acc))
+
+let candidates t want f =
+  match want with
+  | Some w -> List.iter f (nodes_by_tag t w)
+  | None ->
+      (* Wildcard sweep: every label record gets touched in handle
+         (file) order — announce the scan so the pool fills with large
+         sequential reads instead of per-probe misses. *)
+      Disk_labels.prefetch_all t.labels;
+      for v = 0 to t.n - 1 do
+        f v
+      done
+
+(* Label-once probing: the query node's own label is fetched a single
+   time and joined against each candidate's opposite label. *)
+let descendants_within ?stop t x iter =
+  let ox = Disk_labels.out_label t.labels x in
+  collect ~poll:(poller stop) iter (fun v ->
+      if v = x then Some 0 else Disk_labels.join ox (Disk_labels.in_label t.labels v))
+
+let ancestors_within ?stop t x iter =
+  let ix = Disk_labels.in_label t.labels x in
+  collect ~poll:(poller stop) iter (fun v ->
+      if v = x then Some 0 else Disk_labels.join (Disk_labels.out_label t.labels v) ix)
+
+let descendants_by_tag ?stop t x want = descendants_within ?stop t x (candidates t want)
+let ancestors_by_tag ?stop t x want = ancestors_within ?stop t x (candidates t want)
+let restricted_descendants t x set = descendants_within t x (Fx_graph.Bitset.iter set)
+let restricted_ancestors t x set = ancestors_within t x (Fx_graph.Bitset.iter set)
+
+(* Per hub: the shortest distance any start reaches it at, the start
+   that does, and the shortest distance from any other start. *)
+type hub = { mutable best : int; mutable via : int; mutable other : int }
+
+module Hubs = Hashtbl.Make (Int)
+
+(* Set-at-a-time EVALUATE, HOPI's LIN/LOUT join on the hub column:
+   dist(S, v) = min over hubs h of (min over s in S of d_out(s, h))
+   + d_in(h, v). Fold every start's L_out into one hub table (it grows
+   with the start labels, not the node count), then score each target's
+   L_in against it — |S| + |T| label fetches instead of 2·|S|·|T|. A
+   target [v] that is itself a start must not count its own distance-0
+   hub entry, so a hub reached best from [v] scores with [other]. *)
+let evaluate ?stop t ~starts ~target =
+  let poll = poller stop in
+  let hubs = Hubs.create 256 in
+  let fold s =
+    poll ();
+    Array.iter
+      (fun (h, d) ->
+        match Hubs.find_opt hubs h with
+        | None -> Hubs.add hubs h { best = d; via = s; other = max_int }
+        | Some e ->
+            if d < e.best then begin
+              e.other <- e.best;
+              e.best <- d;
+              e.via <- s
+            end
+            else if s <> e.via && d < e.other then e.other <- d)
+      (Disk_labels.out_label t.labels s)
+  in
+  (match List.iter fold starts with () -> () | exception Stopped -> raise (Cut []));
+  if Hubs.length hubs = 0 then []
+  else
+    collect ~poll (candidates t (Some target)) (fun v ->
+        let best = ref max_int in
+        Array.iter
+          (fun (h, d) ->
+            match Hubs.find_opt hubs h with
+            | None -> ()
+            | Some e ->
+                let from = if e.via = v then e.other else e.best in
+                if from < max_int && from + d < !best then best := from + d)
+          (Disk_labels.in_label t.labels v);
+        if !best = max_int then None else Some !best)
 
 (* A disk deployment as a pluggable Path Indexing Strategy: FliX's
    Index Builder can host meta documents whose indexes never load into

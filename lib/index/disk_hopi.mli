@@ -1,9 +1,12 @@
 (** A complete disk-resident HOPI deployment: the 2-hop labels in a
     {!Disk_labels} heap plus a {!Fx_store.Btree} tag directory keyed by
     [(tag << 32) | node], so a descendants query [a//w] runs entirely
-    from disk — one range scan for the candidates of tag [w], one label
-    probe per candidate — mirroring the paper's Oracle schema (a label
-    table and a composite-key element table).
+    from disk — one range scan for the candidates of tag [w], then
+    [L_out(a)] fetched once and joined against each candidate's
+    [L_in] (1 + |w| label fetches) — mirroring the paper's Oracle schema
+    (a label table and a composite-key element table). {!evaluate}
+    answers a whole start set the same way: |starts| + |targets|
+    fetches, each label read once per request.
 
     [save] writes two files, [<path>.labels] and [<path>.tags]. *)
 
@@ -20,12 +23,29 @@ val n_nodes : t -> int
 val reachable : t -> int -> int -> bool
 val distance : t -> int -> int -> int option
 
-val descendants_by_tag : t -> int -> int option -> (int * int) list
-(** Distance-sorted, like the in-memory instance; [None] scans every
-    element (the wildcard query). *)
+exception Cut of (int * int) list
+(** Raised by a scan whose [stop] fired: the distance-sorted hits found
+    before the cut — exact, but possibly missing candidates. *)
 
-val ancestors_by_tag : t -> int -> int option -> (int * int) list
+val descendants_by_tag :
+  ?stop:(unit -> bool) -> t -> int -> int option -> (int * int) list
+(** Distance-sorted, like the in-memory instance; [None] scans every
+    element (the wildcard query). [stop] is polled before every 64th
+    label fetch; once it answers [true] the scan raises {!Cut}. *)
+
+val ancestors_by_tag :
+  ?stop:(unit -> bool) -> t -> int -> int option -> (int * int) list
 (** Like {!descendants_by_tag}, probing [distance node x]. *)
+
+val evaluate :
+  ?stop:(unit -> bool) -> t -> starts:int list -> target:int -> (int * int) list
+(** [a//b] from a whole start set: every node [v] of tag id [target]
+    that some start [s <> v] reaches, at the shortest such distance,
+    sorted by (distance, node). A start never reaches itself, even on a
+    cycle, so start and target tags may coincide. Each start's [L_out]
+    and each target's [L_in] is fetched once. [stop] works as in
+    {!descendants_by_tag}, across both passes; a cut before every start
+    is folded in raises [Cut []]. *)
 
 val nodes_by_tag : t -> int -> int list
 (** Every node with the given tag id, ascending — one tag-directory

@@ -18,6 +18,8 @@ type t = {
   out_handle : int array;
 }
 
+type label = (int * int) array
+
 let label_magic = "fxlab"
 let dir_magic = "fxdir"
 let trailer_magic = "fxend"
@@ -91,30 +93,32 @@ let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Disk_labels: node out of range"
 
 let fetch t handles v =
+  check_node t v;
   if handles.(v) = -1 then [||] else decode_label (Heap.read t.heap handles.(v))
 
-(* Merge-join on hop ranks, as in the in-memory index — but each side
-   was just fetched through the buffer pool. *)
+let out_label t v = fetch t t.out_handle v
+let in_label t v = fetch t t.in_handle v
+
+(* Merge-join on hop ranks, as in the in-memory index. *)
+let join ox iy =
+  let best = ref max_int in
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length ox && !j < Array.length iy do
+    let hi, di = ox.(!i) and hj, dj = iy.(!j) in
+    if hi = hj then begin
+      if di + dj < !best then best := di + dj;
+      incr i;
+      incr j
+    end
+    else if hi < hj then incr i
+    else incr j
+  done;
+  if !best = max_int then None else Some !best
+
 let distance t x y =
   check_node t x;
   check_node t y;
-  if x = y then Some 0
-  else begin
-    let ox = fetch t t.out_handle x and iy = fetch t t.in_handle y in
-    let best = ref max_int in
-    let i = ref 0 and j = ref 0 in
-    while !i < Array.length ox && !j < Array.length iy do
-      let hi, di = ox.(!i) and hj, dj = iy.(!j) in
-      if hi = hj then begin
-        if di + dj < !best then best := di + dj;
-        incr i;
-        incr j
-      end
-      else if hi < hj then incr i
-      else incr j
-    done;
-    if !best = max_int then None else Some !best
-  end
+  if x = y then Some 0 else join (out_label t x) (in_label t y)
 
 let reachable t x y = distance t x y <> None
 

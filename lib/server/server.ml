@@ -348,16 +348,25 @@ let pool_metric_lines hopi () =
       "Pool segment bound of each stripe." "gauge"
       (fun s -> s.P.capacity_pages)
 
-(* Unlike the PEE stream, a disk probe computes whole result blocks —
-   there is no per-item deadline cut — so every pool verb answers the
-   queued-expiry TIMEOUT up front, and EVALUATE re-checks the deadline
-   between start nodes. Result blocks are still emitted item by item so
-   the wire sees an incremental stream. *)
+(* Unlike the PEE stream, a disk scan computes whole result blocks, so
+   every pool verb answers the queued-expiry TIMEOUT up front, and the
+   DESCENDANTS/ANCESTORS/EVALUATE scans poll the deadline every 64 label
+   fetches: a cut answers the hits found so far with TIMEOUT. Result
+   blocks are still emitted item by item so the wire sees an
+   incremental stream. *)
 let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
   let k_cap k = min k t.cfg.max_results in
-  let emit_pairs ?timed_out ?partial pairs =
-    List.iter (fun (node, dist) -> emit { Protocol.node; dist; meta = 0 }) pairs;
-    no_items ?timed_out ?partial ()
+  let stop () = expired job.deadline_ns in
+  let scan f =
+    match f () with
+    | hits -> (hits, false)
+    | exception Disk_hopi.Cut hits -> (hits, true)
+  in
+  let emit_pairs ~k max_dist (pairs, timed_out) =
+    List.iter
+      (fun (node, dist) -> emit { Protocol.node; dist; meta = 0 })
+      (take (k_cap k) (List.filter (fun (_, d) -> within_dist max_dist d) pairs));
+    no_items ~timed_out ()
   in
   (* Unknown tag names match nothing, like the in-memory path's
      sentinel — and never reach the tag B-tree with a bogus id. *)
@@ -370,11 +379,12 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
       | Some None -> no_items ()
       | (None | Some (Some _)) as resolved ->
           let want = Option.join resolved in
-          probe node want
-          |> List.filter (fun (v, d) ->
-                 ((not drop_self) || not (v = node && d = 0)) && within_dist max_dist d)
-          |> take (k_cap k)
-          |> emit_pairs
+          let hits, timed_out = scan (fun () -> probe node want) in
+          let hits =
+            if drop_self then List.filter (fun (v, d) -> not (v = node && d = 0)) hits
+            else hits
+          in
+          emit_pairs ~k max_dist (hits, timed_out)
   in
   match job.req with
   | Protocol.Ping -> Protocol.Pong
@@ -394,15 +404,15 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
       match Catalog.node_of catalog ~doc ~anchor with
       | None -> unknown_doc_err doc anchor
       | Some start ->
-          node_stream ~probe:(Disk_hopi.descendants_by_tag hopi) ~drop_self:true start
-            tag k max_dist)
+          node_stream ~probe:(Disk_hopi.descendants_by_tag ~stop hopi) ~drop_self:true
+            start tag k max_dist)
   | Protocol.Node_descendants { node; tag; k; max_dist } ->
-      node_stream ~probe:(Disk_hopi.descendants_by_tag hopi) ~drop_self:true node tag k
-        max_dist
+      node_stream ~probe:(Disk_hopi.descendants_by_tag ~stop hopi) ~drop_self:true node
+        tag k max_dist
   | Protocol.Ancestors { node; tag; k; max_dist } ->
       (* ancestors-or-self, so keep the node itself at distance 0. *)
-      node_stream ~probe:(Disk_hopi.ancestors_by_tag hopi) ~drop_self:false node tag k
-        max_dist
+      node_stream ~probe:(Disk_hopi.ancestors_by_tag ~stop hopi) ~drop_self:false node
+        tag k max_dist
   | Protocol.Evaluate { start_tag; target_tag; k; max_dist } -> (
       match Catalog.tag_id catalog target_tag with
       | None -> no_items ()
@@ -412,32 +422,8 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
             | None -> []
             | Some id -> Disk_hopi.nodes_by_tag hopi id
           in
-          let rec sweep acc timed = function
-            | [] -> (acc, timed)
-            | _ :: _ when expired job.deadline_ns -> (acc, true)
-            | s :: rest ->
-                let rs =
-                  List.filter
-                    (fun (_, d) -> d > 0 && within_dist max_dist d)
-                    (Disk_hopi.descendants_by_tag hopi s (Some target))
-                in
-                sweep (List.rev_append rs acc) timed rest
-          in
-          let all, timed_out = sweep [] false starts in
-          (* Several starts can reach one node; keep its best distance,
-             like the engine's duplicate elimination. *)
-          let best = Hashtbl.create 64 in
-          List.iter
-            (fun (v, d) ->
-              match Hashtbl.find_opt best v with
-              | Some d' when d' <= d -> ()
-              | _ -> Hashtbl.replace best v d)
-            all;
-          Hashtbl.fold (fun v d acc -> (v, d) :: acc) best []
-          |> List.sort (fun (v1, d1) (v2, d2) ->
-                 match Int.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c)
-          |> take (k_cap k)
-          |> emit_pairs ~timed_out)
+          emit_pairs ~k max_dist
+            (scan (fun () -> Disk_hopi.evaluate ~stop hopi ~starts ~target)))
   | Protocol.Resolve { doc; anchor } -> resolved_node (Catalog.node_of catalog ~doc ~anchor)
   | Protocol.Evict _ | Protocol.Reload | Protocol.Epoch_query ->
       Protocol.Err "admin verb on the worker path"

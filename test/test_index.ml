@@ -159,6 +159,134 @@ let prop_conformance_random_forests =
                (Traversal.descendants dg.graph u))
            (List.init n (fun i -> i)))
 
+(* --- disk HOPI: set-at-a-time scans ------------------------------------- *)
+
+module Disk_hopi = Fx_index.Disk_hopi
+
+let with_disk_hopi dg hopi f =
+  let path = Filename.temp_file "fxset" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".labels"; path ^ ".tags" ])
+    (fun () ->
+      Disk_hopi.save ~page_size:256 ~path dg hopi;
+      let disk = Disk_hopi.open_ ~page_size:256 ~pool_pages:8 ~path () in
+      Fun.protect ~finally:(fun () -> Disk_hopi.close disk) (fun () -> f disk))
+
+(* The fold must equal the per-pair definition: min over s <> v of the
+   2-hop distance, for every start set — including ones that contain
+   the targets themselves, or list a start twice — and label-once
+   DESCENDANTS/ANCESTORS must equal the per-candidate [distance] probe. *)
+let set_scans_match_pairwise (dg : Pi.data_graph) =
+  let hopi = Hopi.build dg in
+  let labels = Hopi.labels hopi in
+  let n = Digraph.n_nodes dg.graph in
+  let nodes = List.init n Fun.id in
+  let by_tag t = List.filter (fun v -> dg.tag.(v) = t) nodes in
+  let tags = [ 0; 1; 2; 3 ] in
+  let pairwise starts target =
+    List.filter_map
+      (fun v ->
+        List.fold_left
+          (fun best s ->
+            match (if s = v then None else Two_hop.distance labels s v) with
+            | Some d when Option.fold ~none:true ~some:(fun b -> d < b) best -> Some d
+            | _ -> best)
+          None starts
+        |> Option.map (fun d -> (v, d)))
+      (by_tag target)
+    |> Pi.sort_results
+  in
+  let probe dist u want =
+    (match want with None -> nodes | Some w -> by_tag w)
+    |> List.filter_map (fun v -> Option.map (fun d -> (v, d)) (dist u v))
+    |> Pi.sort_results
+  in
+  with_disk_hopi dg hopi (fun disk ->
+      let start_sets =
+        (nodes @ nodes) :: List.filter (fun v -> v mod 3 = 0) nodes :: List.map by_tag tags
+      in
+      List.for_all
+        (fun starts ->
+          List.for_all
+            (fun target -> Disk_hopi.evaluate disk ~starts ~target = pairwise starts target)
+            tags)
+        start_sets
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun want ->
+                 Disk_hopi.descendants_by_tag disk u want
+                 = probe (Disk_hopi.distance disk) u want
+                 && Disk_hopi.ancestors_by_tag disk u want
+                    = probe (fun u v -> Disk_hopi.distance disk v u) u want)
+               (None :: List.map Option.some tags))
+           nodes)
+
+let prop_disk_set_scans =
+  H.qtest ~count:50 "evaluate fold ≡ min over s<>v of 2-hop distance"
+    (H.digraph_arb ~max_n:16 ())
+    (fun (n, edges) ->
+      (* The raw edges may close cycles; orienting each low -> high
+         gives a DAG over the same nodes. *)
+      let dag =
+        List.filter_map
+          (fun (u, v) -> if u < v then Some (u, v) else if v < u then Some (v, u) else None)
+          edges
+      in
+      set_scans_match_pairwise (H.data_graph_of (n, edges) ~tag_seed:3)
+      && set_scans_match_pairwise (H.data_graph_of (n, dag) ~tag_seed:4))
+
+(* A [stop] that fires on its second poll cuts every scan after one
+   64-fetch block: the hits found so far, exact, flagged by [Cut]. *)
+let test_disk_scan_stop () =
+  let leaves = 200 in
+  (* Node 0 points at every leaf, and every leaf points back: a cycle
+     through the hub, so starts reach one another at distance 2. *)
+  let edges = List.concat_map (fun v -> [ (0, v); (v, 0) ]) (List.init leaves succ) in
+  let g = Digraph.of_edges ~n:(leaves + 1) edges in
+  let dg = { Pi.graph = g; tag = Array.init (leaves + 1) (fun v -> min v 1) } in
+  let second_poll () =
+    let polls = ref 0 in
+    fun () ->
+      incr polls;
+      !polls > 1
+  in
+  let cut f =
+    match f () with
+    | _ -> Alcotest.fail "scan was not cut"
+    | exception Disk_hopi.Cut hits -> hits
+  in
+  let subset name part whole =
+    check (name ^ " sorted") true (H.sorted_by_distance part);
+    check (name ^ " exact") true (List.for_all (fun h -> List.mem h whole) part)
+  in
+  with_disk_hopi dg (Hopi.build dg) (fun disk ->
+      let full = Disk_hopi.descendants_by_tag disk 0 (Some 1) in
+      check_int "full descendants" leaves (List.length full);
+      let part =
+        cut (fun () -> Disk_hopi.descendants_by_tag ~stop:(second_poll ()) disk 0 (Some 1))
+      in
+      check_int "one block of descendants" 64 (List.length part);
+      subset "descendants" part full;
+      let starts = [ 1; 2; 3 ] in
+      let full = Disk_hopi.evaluate disk ~starts ~target:1 in
+      check_int "full evaluate" leaves (List.length full);
+      (* Never the starts' own distance 0: each leaf, starts included,
+         is reached from another start through the hub. *)
+      check "every leaf at distance 2" true (List.for_all (fun (_, d) -> d = 2) full);
+      (* Three start fetches, then 61 target fetches before the poll. *)
+      let part =
+        cut (fun () -> Disk_hopi.evaluate ~stop:(second_poll ()) disk ~starts ~target:1)
+      in
+      check_int "one block of targets" 61 (List.length part);
+      subset "evaluate" part full;
+      check "cut inside the fold" true
+        (cut (fun () -> Disk_hopi.evaluate ~stop:(fun () -> true) disk ~starts ~target:1)
+         = []))
+
 (* --- PPO specifics ------------------------------------------------------- *)
 
 let test_ppo_rejects_graphs () =
@@ -537,6 +665,11 @@ let () =
           Alcotest.test_case "borders-first ordering" `Quick test_conformance_borders_first;
           prop_conformance_random_graphs;
           prop_conformance_random_forests;
+        ] );
+      ( "disk_hopi",
+        [
+          prop_disk_set_scans;
+          Alcotest.test_case "stop cuts a scan" `Quick test_disk_scan_stop;
         ] );
       ( "ppo",
         [

@@ -764,6 +764,106 @@ let disk_backend_matches_memory () =
       | _ -> Alcotest.fail "STATS failed");
       Client.close c)
 
+(* Disk EVALUATE answers a start set in one fold; the reference
+   restates the per-start definition on the in-memory index: descendants
+   of every start at d > 0, best distance per node, (dist, node) order,
+   first k. Random tag pairs (start = target included), random max_dist
+   and k, and unknown tags on either side. *)
+let disk_evaluate_matches_reference () =
+  with_disk_server ~workers:2 (fun server hopi coll ->
+      let tags = List.init (C.n_tags coll) (C.tag_name coll) in
+      let tag_of = C.tag coll in
+      let best_per_node = Hashtbl.create 16 in
+      let reference start_tag target_tag =
+        match (C.tag_id coll start_tag, C.tag_id coll target_tag) with
+        | Some st, Some tt ->
+            let best = Hashtbl.create 64 in
+            Array.iteri
+              (fun s tag ->
+                if tag = st then
+                  List.iter
+                    (fun (v, d) ->
+                      match Hashtbl.find_opt best v with
+                      | Some d' when d' <= d -> ()
+                      | _ -> if d > 0 then Hashtbl.replace best v d)
+                    (Idx.Hopi.descendants_by_tag hopi s (Some tt)))
+              tag_of;
+            Hashtbl.fold (fun v d acc -> (v, d) :: acc) best []
+            |> List.sort (fun (v1, d1) (v2, d2) ->
+                   match Int.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c)
+        | _ -> []
+      in
+      let expected ~start_tag ~target_tag ~k ~max_dist =
+        let all =
+          match Hashtbl.find_opt best_per_node (start_tag, target_tag) with
+          | Some all -> all
+          | None ->
+              let all = reference start_tag target_tag in
+              Hashtbl.add best_per_node (start_tag, target_tag) all;
+              all
+        in
+        all
+        |> List.filter (fun (_, d) -> Option.fold ~none:true ~some:(fun m -> d <= m) max_dist)
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map (fun (node, dist) -> { P.node; dist; meta = 0 })
+      in
+      let rng = Random.State.make [| 12 |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      (* Start tags come from inner elements: a leaf tag reaches nothing. *)
+      let inner_tags =
+        let g = C.graph coll in
+        List.sort_uniq String.compare
+          (List.filter_map
+             (fun v ->
+               if Fx_graph.Digraph.out_degree g v > 0 then Some (C.tag_name coll tag_of.(v))
+               else None)
+             (List.init (C.n_nodes coll) Fun.id))
+      in
+      let random_case () =
+        let start_tag = pick inner_tags in
+        let target_tag = if Random.State.int rng 4 = 0 then start_tag else pick tags in
+        let max_dist =
+          if Random.State.bool rng then None else Some (1 + Random.State.int rng 6)
+        in
+        (start_tag, target_tag, 1 + Random.State.int rng 60, max_dist)
+      in
+      let cases =
+        [
+          ("article", "journal", 50, None);
+          ("article", "article", 50, None);
+          ("nosuchtag", "author", 10, None);
+          ("article", "nosuchtag", 10, None);
+          ("nosuchtag", "nosuchtag", 10, Some 3);
+        ]
+        @ List.init 30 (fun _ -> random_case ())
+      in
+      let c = Client.connect ~port:(Server.port server) () in
+      let non_empty = ref 0 in
+      List.iter
+        (fun (start_tag, target_tag, k, max_dist) ->
+          let name =
+            Printf.sprintf "EVALUATE %s %s %d%s" start_tag target_tag k
+              (Option.fold ~none:"" ~some:(Printf.sprintf " max %d") max_dist)
+          in
+          let want =
+            render
+              (P.Items
+                 {
+                   items = expected ~start_tag ~target_tag ~k ~max_dist;
+                   timed_out = false;
+                   partial = false;
+                 })
+          in
+          match Client.evaluate c ~start_tag ~target_tag ?max_dist ~k () with
+          | Ok (Client.Value (items, timed_out)) ->
+              if items <> [] then incr non_empty;
+              Alcotest.(check string) name want
+                (render (P.Items { items; timed_out; partial = false }))
+          | _ -> Alcotest.failf "%s failed" name)
+        cases;
+      Alcotest.(check bool) "most answers non-empty" true (2 * !non_empty > List.length cases);
+      Client.close c)
+
 let () =
   Alcotest.run "server"
     [
@@ -789,6 +889,7 @@ let () =
           Alcotest.test_case "connection cap" `Quick connection_cap;
           Alcotest.test_case "disconnect mid-response" `Quick disconnect_mid_response;
           Alcotest.test_case "disk backend" `Quick disk_backend_matches_memory;
+          Alcotest.test_case "disk EVALUATE" `Quick disk_evaluate_matches_reference;
           Alcotest.test_case "concurrent clients vs direct" `Quick concurrent_clients;
           Alcotest.test_case "deadline timeout" `Quick deadline_timeout;
           Alcotest.test_case "admission control BUSY" `Quick admission_busy;
