@@ -588,8 +588,8 @@ let disk ctx =
       print_endline "expectation: page misses vanish as the pool grows; per-probe time is";
       print_endline "dominated by label decoding once resident (large collections), by page";
       print_endline "fetches when the pool thrashes (the paper's regime).");
-  (* Full disk deployment: labels + B+tree tag directory, the hub
-     descendants query end to end from disk. *)
+  (* Full disk deployment: tag-clustered label runs + tag directory,
+     the hub descendants query end to end from disk. *)
   let prefix = Filename.temp_file "flix_hopi" "" in
   Fun.protect
     ~finally:(fun () ->
@@ -601,7 +601,7 @@ let disk ctx =
       let (), save_s =
         timed (fun () -> Fx_index.Disk_hopi.save ~path:prefix dg ctx.hopi_labels)
       in
-      Printf.printf "\nfull deployment (labels + tag B+tree) written in %.2f s\n" save_s;
+      Printf.printf "\nfull deployment (label runs + tag directory) written in %.2f s\n" save_s;
       Printf.printf "%-12s %14s %16s\n" "pool" "hub query ms" "page misses";
       List.iter
         (fun (label, pool_pages, warm) ->
@@ -626,6 +626,40 @@ let disk ctx =
       print_newline ();
       print_endline "the cold run is the paper's regime: every candidate probe may fetch";
       print_endline "pages, so the full block costs orders of magnitude more than in RAM.";
+      let size p = (Unix.stat p).Unix.st_size in
+      Printf.printf "store files: labels %d B, tags %d B\n" (size (prefix ^ ".labels"))
+        (size (prefix ^ ".tags"));
+      (* The serving workload's common case: a document root's
+         descendants of one tag, answered by one scan of that tag's
+         in-run. Cold drops the pool before every query. *)
+      (match C.tag_id ctx.collection "author" with
+      | None -> print_endline "\n(no author tag: DESCENDANTS row skipped)"
+      | Some author ->
+          let roots = List.init (min 200 (C.n_docs ctx.collection)) (C.root_of_doc ctx.collection) in
+          Printf.printf "\nDESCENDANTS root//author (%d document roots)\n" (List.length roots);
+          Printf.printf "%-12s %10s %14s %16s\n" "pool" "us/query" "label pages/q" "label physical/q";
+          List.iter
+            (fun (label, pool_pages, warm) ->
+              Gc.compact ();
+              let d = Fx_index.Disk_hopi.open_ ~pool_pages ~path:prefix () in
+              let query r = ignore (Fx_index.Disk_hopi.descendants_by_tag d r (Some author)) in
+              if warm then List.iter query roots;
+              let ls0, _ = Fx_index.Disk_hopi.stats d in
+              let s =
+                List.fold_left
+                  (fun acc r ->
+                    if not warm then Fx_index.Disk_hopi.drop_pools d;
+                    acc +. snd (timed (fun () -> query r)))
+                  0.0 roots
+              in
+              let ls, _ = Fx_index.Disk_hopi.stats d in
+              let per v = float_of_int v /. float_of_int (List.length roots) in
+              Printf.printf "%-12s %10.1f %14.1f %16.1f\n%!" label
+                (1e6 *. s /. float_of_int (List.length roots))
+                (per (ls.Fx_store.Pager.logical_reads - ls0.Fx_store.Pager.logical_reads))
+                (per (ls.Fx_store.Pager.physical_reads - ls0.Fx_store.Pager.physical_reads));
+              Fx_index.Disk_hopi.close d)
+            [ ("cold-256", 256, false); ("warm-16k", 16_384, true) ]);
       (* The set-at-a-time path: EVALUATE article//journal folds every
          start's L_out once and probes each target's L_in once. *)
       match (C.tag_id ctx.collection "article", C.tag_id ctx.collection "journal") with

@@ -1,7 +1,7 @@
 (* Persistent indexes: build once, write to disk, reopen and serve
    queries without rebuilding — the database-backed deployment of the
-   paper (whose indexes lived in Oracle tables), on our own pager,
-   heap file and B+-tree.
+   paper (whose indexes lived in Oracle tables), on our own pager and
+   heap file, with the labels clustered by tag.
 
      dune exec examples/persistent_index.exe *)
 
@@ -26,7 +26,7 @@ let () =
     (float_of_int (Fx_index.Hopi.size_bytes hopi) /. 1048576.0);
   Fx_index.Disk_hopi.save ~path dg hopi;
   let on_disk p = float_of_int (Unix.stat p).Unix.st_size /. 1048576.0 in
-  Printf.printf "written: %s.labels (%.2f MB) + %s.tags (%.2f MB B+tree)\n" path
+  Printf.printf "written: %s.labels (%.2f MB label runs) + %s.tags (%.2f MB tag directory)\n" path
     (on_disk (path ^ ".labels")) path
     (on_disk (path ^ ".tags"));
 

@@ -1,14 +1,21 @@
-(** A complete disk-resident HOPI deployment: the 2-hop labels in a
-    {!Disk_labels} heap plus a {!Fx_store.Btree} tag directory keyed by
-    [(tag << 32) | node], so a descendants query [a//w] runs entirely
-    from disk — one range scan for the candidates of tag [w], then
-    [L_out(a)] fetched once and joined against each candidate's
-    [L_in] (1 + |w| label fetches) — mirroring the paper's Oracle schema
-    (a label table and a composite-key element table). {!evaluate}
-    answers a whole start set the same way: |starts| + |targets|
-    fetches, each label read once per request.
+(** A complete disk-resident HOPI deployment, clustered by tag as the
+    element lists of an XML database are: {!Disk_labels} keeps each
+    tag's label records together — the [L_in] of its nodes in one
+    contiguous in-run, their [L_out] in one out-run — and a small tag
+    directory records each tag's nodes and run extents. A descendants
+    query [a//w] fetches [L_out(a)] once, then reads tag [w]'s in-run
+    sequentially, a few pages at a time, merge-joining each record in
+    place; ancestors read the out-run the same way. {!evaluate} folds
+    the start set's out-labels into a hub table and scores the target
+    tag's in-run in one scan. This mirrors the paper's Oracle schema (a
+    label table next to an element table keyed by tag), with the label
+    table clustered on tag.
 
-    [save] writes two files, [<path>.labels] and [<path>.tags]. *)
+    [save] writes two files: [<path>.labels] (the runs, plus a
+    node → record directory for single-label fetches) and [<path>.tags]
+    (the tag directory, read once by [open_]). Stores written in the
+    older node-ordered layout, with a B-tree tag directory, are refused
+    with {!Fx_util.Codec.Corrupt}. *)
 
 type t
 
@@ -30,12 +37,13 @@ exception Cut of (int * int) list
 val descendants_by_tag :
   ?stop:(unit -> bool) -> t -> int -> int option -> (int * int) list
 (** Distance-sorted, like the in-memory instance; [None] scans every
-    element (the wildcard query). [stop] is polled before every 64th
-    label fetch; once it answers [true] the scan raises {!Cut}. *)
+    tag's run (the wildcard query). [stop] is polled before every 64th
+    record scored; once it answers [true] the scan raises {!Cut}. *)
 
 val ancestors_by_tag :
   ?stop:(unit -> bool) -> t -> int -> int option -> (int * int) list
-(** Like {!descendants_by_tag}, probing [distance node x]. *)
+(** Like {!descendants_by_tag}, over out-runs: [distance v node] for
+    each [v] of the tag. *)
 
 val evaluate :
   ?stop:(unit -> bool) -> t -> starts:int list -> target:int -> (int * int) list
@@ -43,17 +51,20 @@ val evaluate :
     that some start [s <> v] reaches, at the shortest such distance,
     sorted by (distance, node). A start never reaches itself, even on a
     cycle, so start and target tags may coincide. Each start's [L_out]
-    and each target's [L_in] is fetched once. [stop] works as in
-    {!descendants_by_tag}, across both passes; a cut before every start
-    is folded in raises [Cut []]. *)
+    is fetched once; the targets are scored in one scan of the target
+    tag's in-run. [stop] works as in {!descendants_by_tag}, counting
+    start fetches and targets scored alike; a cut before every start is
+    folded in raises [Cut []]. *)
 
 val nodes_by_tag : t -> int -> int list
-(** Every node with the given tag id, ascending — one tag-directory
-    range scan. Empty for an id the deployment does not know (negative
-    ids included, so an unresolved tag name never probes the B-tree). *)
+(** Every node with the given tag id, ascending — a lookup in the tag
+    directory held in memory, no page read. Empty for an id the
+    deployment does not know (negative ids included). *)
 
 val restricted_descendants : t -> int -> Fx_graph.Bitset.t -> (int * int) list
 val restricted_ancestors : t -> int -> Fx_graph.Bitset.t -> (int * int) list
+(** Candidates from a bitset instead of a tag: each member's opposite
+    label is fetched by its node's record handle. *)
 
 val instance :
   ?pool_pages:int ->
@@ -69,7 +80,8 @@ val instance :
     [size_bytes] is the on-disk footprint. *)
 
 val stats : t -> Fx_store.Pager.stats * Fx_store.Pager.stats
-(** (label file, tag file) buffer-pool statistics. *)
+(** (label file, tag file) buffer-pool statistics. The tag file is
+    read only by [open_]. *)
 
 val stripe_stats : t -> Fx_store.Pager.stripe_stats list * Fx_store.Pager.stripe_stats list
 (** (label file, tag file) per-stripe occupancy/contention counters. *)

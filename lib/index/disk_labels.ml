@@ -3,26 +3,30 @@ module Heap = Fx_store.Heap_file
 module Codec = Fx_util.Codec
 
 (* File layout (records in one heap file):
-     [label record]*          one per non-empty L_in / L_out
+     [in-runs]                per group, in order: L_in of each of its
+                              nodes, in group order (empty labels too)
+     [out-runs]               the same for L_out
      [directory record]       n, then per node: in handle, out handle
-                              (-1 = empty label)
-     [trailer record]         "DIR" + directory handle
+     [trailer record]         "fxrun" + directory handle
    The trailer is always the last record, so reopen finds the directory
-   without any side file. *)
+   without any side file. Its magic names the layout: stores written
+   before labels were clustered into runs end in an "fxend" trailer
+   over node-ordered records, and are refused. *)
 
 type t = {
   pager : Pager.t;
   heap : Heap.t;
   n : int;
-  in_handle : int array;  (* -1 = empty label *)
+  in_handle : int array;
   out_handle : int array;
 }
 
 type label = (int * int) array
+type run = { lo : int; hi : int }
 
 let label_magic = "fxlab"
 let dir_magic = "fxdir"
-let trailer_magic = "fxend"
+let trailer_magic = "fxrun"
 
 let encode_label entries =
   let w = Codec.Writer.create ~magic:label_magic in
@@ -34,10 +38,17 @@ let encode_label entries =
     entries;
   Codec.Writer.contents w
 
+(* A label record's entry count, checked against the bytes left: every
+   entry takes at least two. *)
+let entry_count r =
+  let len = Codec.Reader.int r in
+  if len < 0 || len > Codec.Reader.remaining r / 2 then
+    raise (Codec.Corrupt "implausible label length");
+  len
+
 let decode_label data =
   let r = Codec.Reader.create ~magic:label_magic data in
-  let len = Codec.Reader.int r in
-  if len < 0 then raise (Codec.Corrupt "negative label length");
+  let len = entry_count r in
   let entries = Array.init len (fun _ ->
       let hop = Codec.Reader.int r in
       let dist = Codec.Reader.int r in
@@ -46,18 +57,41 @@ let decode_label data =
   Codec.Reader.expect_end r;
   entries
 
-let save ?page_size ~path labels =
+let partition_error () = invalid_arg "Disk_labels.save_runs: groups must partition the nodes"
+
+let save_runs ?page_size ~path ~groups labels =
+  let n = Two_hop.n_nodes labels in
+  let seen = Array.make n false in
+  Array.iter
+    (Array.iter (fun v ->
+         if v < 0 || v >= n || seen.(v) then partition_error ();
+         seen.(v) <- true))
+    groups;
+  if not (Array.for_all Fun.id seen) then partition_error ();
   if Sys.file_exists path then Sys.remove path;
   let pager = Pager.create ?page_size path in
   let heap = Heap.create pager in
-  let n = Two_hop.n_nodes labels in
+  (* A fresh heap lays records end to end from byte 0. *)
+  let cursor = ref 0 in
   let store side =
-    Array.init n (fun v ->
-        let entries = side v in
-        if Array.length entries = 0 then -1 else Heap.append heap (encode_label entries))
+    let handles = Array.make n (-1) in
+    let runs =
+      Array.map
+        (fun nodes ->
+          let lo = !cursor in
+          Array.iter
+            (fun v ->
+              let record = encode_label (side labels v) in
+              handles.(v) <- Heap.append heap record;
+              cursor := handles.(v) + 4 + String.length record)
+            nodes;
+          { lo; hi = !cursor })
+        groups
+    in
+    (handles, runs)
   in
-  let in_handle = store (Two_hop.raw_in_label labels) in
-  let out_handle = store (Two_hop.raw_out_label labels) in
+  let in_handle, in_runs = store Two_hop.raw_in_label in
+  let out_handle, out_runs = store Two_hop.raw_out_label in
   let w = Codec.Writer.create ~magic:dir_magic in
   Codec.Writer.int w n;
   Codec.Writer.int_array w in_handle;
@@ -66,15 +100,30 @@ let save ?page_size ~path labels =
   let tw = Codec.Writer.create ~magic:trailer_magic in
   Codec.Writer.int tw dir;
   ignore (Heap.append heap (Codec.Writer.contents tw));
-  Pager.close pager
+  Pager.close pager;
+  Array.map2 (fun i o -> (i, o)) in_runs out_runs
 
-let open_ ?pool_pages ?page_size ?stripes path =
-  let pager = Pager.create ?pool_pages ?page_size ?stripes path in
-  let heap = Heap.create pager in
+let save ?page_size ~path labels =
+  let groups = [| Array.init (Two_hop.n_nodes labels) Fun.id |] in
+  ignore (save_runs ?page_size ~path ~groups labels)
+
+let layout_error path =
+  raise
+    (Codec.Corrupt
+       (Printf.sprintf
+          "Disk_labels: %s is not a label store in the tag-clustered run layout (no %s \
+           trailer): mangled, or written in the older node-ordered layout; rebuild it"
+          path trailer_magic))
+
+let read_directory heap path =
   match Heap.last_handle heap with
   | None -> raise (Codec.Corrupt "Disk_labels: empty store")
   | Some trailer ->
-      let tr = Codec.Reader.create ~magic:trailer_magic (Heap.read heap trailer) in
+      let tr =
+        match Codec.Reader.create ~magic:trailer_magic (Heap.read heap trailer) with
+        | r -> r
+        | exception Codec.Corrupt _ -> layout_error path
+      in
       let dir_handle = Codec.Reader.int tr in
       Codec.Reader.expect_end tr;
       let dr = Codec.Reader.create ~magic:dir_magic (Heap.read heap dir_handle) in
@@ -85,7 +134,18 @@ let open_ ?pool_pages ?page_size ?stripes path =
       Codec.Reader.expect_end dr;
       if Array.length in_handle <> n || Array.length out_handle <> n then
         raise (Codec.Corrupt "Disk_labels: directory length mismatch");
-      { pager; heap; n; in_handle; out_handle }
+      (n, in_handle, out_handle)
+
+let open_ ?pool_pages ?page_size ?stripes path =
+  let pager = Pager.create ?pool_pages ?page_size ?stripes path in
+  match
+    let heap = Heap.create pager in
+    (heap, read_directory heap path)
+  with
+  | heap, (n, in_handle, out_handle) -> { pager; heap; n; in_handle; out_handle }
+  | exception e ->
+      Pager.close pager;
+      raise e
 
 let n_nodes t = t.n
 
@@ -94,7 +154,7 @@ let check_node t v =
 
 let fetch t handles v =
   check_node t v;
-  if handles.(v) = -1 then [||] else decode_label (Heap.read t.heap handles.(v))
+  decode_label (Heap.read t.heap handles.(v))
 
 let out_label t v = fetch t t.out_handle v
 let in_label t v = fetch t t.in_handle v
@@ -122,10 +182,54 @@ let distance t x y =
 
 let reachable t x y = distance t x y <> None
 
-(* Full-sweep readahead: a caller about to probe every node walks the
-   label records in handle order, which is file order — pull the whole
-   file through the pool's free room with large sequential reads. *)
-let prefetch_all t = Pager.prefetch t.pager ~page:0 ~count:(Pager.n_pages t.pager)
+(* An in-place view of one label record inside a run scan: the reader
+   sits at the next entry, [left] entries remain. *)
+type cursor = { r : Codec.Reader.t; mutable left : int }
+
+(* Entries are read hop first, then distance. *)
+let hop c =
+  c.left <- c.left - 1;
+  Codec.Reader.int c.r
+
+let dist c = Codec.Reader.int c.r
+
+let scan t run nodes f =
+  let i = ref 0 in
+  Heap.scan t.heap ~lo:run.lo ~hi:run.hi (fun buf pos len ->
+      if !i >= Array.length nodes then
+        raise (Codec.Corrupt "Disk_labels: run longer than its node list");
+      let r = Codec.Reader.sub ~magic:label_magic buf ~pos ~len in
+      let c = { r; left = entry_count r } in
+      f nodes.(!i) c;
+      (* Whatever [f] skipped is still decoded and checked. *)
+      while c.left > 0 do
+        ignore (hop c);
+        ignore (dist c)
+      done;
+      Codec.Reader.expect_end r;
+      incr i);
+  if !i <> Array.length nodes then
+    raise (Codec.Corrupt "Disk_labels: run shorter than its node list")
+
+let join_cursor ox c =
+  let best = ref max_int and i = ref 0 in
+  let n = Array.length ox in
+  (* Past the last hop of [ox] nothing can match; [scan] drains the rest. *)
+  while c.left > 0 && !i < n do
+    let h = hop c in
+    let d = dist c in
+    while !i < n && fst ox.(!i) < h do
+      incr i
+    done;
+    if !i < n && fst ox.(!i) = h && snd ox.(!i) + d < !best then best := snd ox.(!i) + d
+  done;
+  if !best = max_int then None else Some !best
+
+let iter_cursor c f =
+  while c.left > 0 do
+    let h = hop c in
+    f h (dist c)
+  done
 
 let stats t = Pager.stats t.pager
 let stripe_stats t = Pager.stripe_stats t.pager

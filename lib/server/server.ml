@@ -350,8 +350,8 @@ let pool_metric_lines hopi () =
 
 (* Unlike the PEE stream, a disk scan computes whole result blocks, so
    every pool verb answers the queued-expiry TIMEOUT up front, and the
-   DESCENDANTS/ANCESTORS/EVALUATE scans poll the deadline every 64 label
-   fetches: a cut answers the hits found so far with TIMEOUT. Result
+   DESCENDANTS/ANCESTORS/EVALUATE scans poll the deadline every 64
+   label records: a cut answers the hits found so far with TIMEOUT. Result
    blocks are still emitted item by item so the wire sees an
    incremental stream. *)
 let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
@@ -369,7 +369,7 @@ let evaluate_disk t hopi catalog ~emit (job : job) : Protocol.response =
     no_items ~timed_out ()
   in
   (* Unknown tag names match nothing, like the in-memory path's
-     sentinel — and never reach the tag B-tree with a bogus id. *)
+     sentinel — and never reach the tag directory with a bogus id. *)
   let resolve_tag tag = Option.map (Catalog.tag_id catalog) tag in
   let node_stream ~probe ~drop_self node tag k max_dist =
     if node < 0 || node >= Catalog.n_nodes catalog then

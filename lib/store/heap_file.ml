@@ -21,6 +21,26 @@ let off_of t pos = pos mod Pager.page_size t.pager
 
 let capacity t = Pager.n_pages t.pager * Pager.page_size t.pager
 
+(* Copy the [len] bytes at byte position [pos] into [dst] at [at], one
+   pool access per page and no intermediate copy. Callers bound-check
+   the span first. *)
+let blit_span t pos len dst at =
+  let ps = Pager.page_size t.pager in
+  let rec go pos at left =
+    if left > 0 then begin
+      let off = pos mod ps in
+      let chunk = min left (ps - off) in
+      Pager.read_with t.pager ~page:(pos / ps) (fun data -> Bytes.blit data off dst at chunk);
+      go (pos + chunk) (at + chunk) (left - chunk)
+    end
+  in
+  go pos at len
+
+(* Announce a read of pages [first, last] as one sequential block scan:
+   pull it in with large reads instead of page-sized misses. *)
+let prefetch_span t first last =
+  if last > first then Pager.prefetch t.pager ~page:first ~count:(last - first + 1)
+
 (* Read [len] bytes starting at byte position [pos], crossing pages.
    The bound is written as [len > capacity - pos] so a hostile length
    from a mangled prefix cannot overflow [pos + len] to a negative and
@@ -28,23 +48,11 @@ let capacity t = Pager.n_pages t.pager * Pager.page_size t.pager
 let read_bytes t pos len =
   if len < 0 || pos < 0 || pos > capacity t || len > capacity t - pos then
     corrupt "Heap_file: out of range";
-  (* A record spanning several pages is one sequential block scan:
-     pull the span in with large reads instead of page-sized misses. *)
-  (if len > 0 then
-     let first = page_of t pos and last = page_of t (pos + len - 1) in
-     if last > first then Pager.prefetch t.pager ~page:first ~count:(last - first + 1));
+  if len > 0 then prefetch_span t (page_of t pos) (page_of t (pos + len - 1));
   let out = Bytes.create len in
-  let rec go pos written =
-    if written < len then begin
-      let page = page_of t pos and off = off_of t pos in
-      let chunk = min (len - written) (Pager.page_size t.pager - off) in
-      let piece = Pager.read t.pager ~page ~offset:off ~len:chunk in
-      Bytes.blit piece 0 out written chunk;
-      go (pos + chunk) (written + chunk)
-    end
-  in
-  go pos 0;
-  Bytes.to_string out
+  blit_span t pos len out 0;
+  (* [out] is fresh and never written again. *)
+  Bytes.unsafe_to_string out
 
 let write_bytes t pos s =
   let len = String.length s in
@@ -113,12 +121,65 @@ let append t s =
   t.last <- Some handle;
   handle
 
+let prefix_of data off = Int32.to_int (Bytes.get_int32_be data off)
+
 let read t handle =
   if handle < 0 || handle > capacity t - 4 then corrupt "Heap_file.read: bad handle";
-  let len = read_length t handle in
-  if len <= 0 || len > capacity t - handle - 4 then
-    corrupt "Heap_file.read: mangled length prefix";
-  read_bytes t (handle + 4) len
+  let ps = Pager.page_size t.pager and off = off_of t handle in
+  (* A record whose prefix and payload share a page costs one pool
+     access; anything else falls back to a span read. *)
+  let first =
+    if off > ps - 4 then Error (read_length t handle)
+    else
+      Pager.read_with t.pager ~page:(page_of t handle) (fun data ->
+          let len = prefix_of data off in
+          if len > 0 && len <= ps - off - 4 then Ok (Bytes.sub_string data (off + 4) len)
+          else Error len)
+  in
+  match first with
+  | Ok record -> record
+  | Error len ->
+      if len <= 0 || len > capacity t - handle - 4 then
+        corrupt "Heap_file.read: mangled length prefix";
+      read_bytes t (handle + 4) len
+
+(* Pages a scan reads per refill; larger records grow the buffer. *)
+let scan_pages = 8
+
+let scan t ~lo ~hi f =
+  if lo < 0 || hi < lo || hi > capacity t then corrupt "Heap_file.scan: bad extent";
+  let ps = Pager.page_size t.pager in
+  (* [!buf] holds the bytes [!base, !base + !fill) of the record space. *)
+  let buf = ref (Bytes.create (min (hi - lo) (scan_pages * ps))) in
+  let base = ref lo and fill = ref 0 in
+  (* Make [pos, pos + need) resident: keep the unconsumed tail
+     [pos, base + fill), then top up as far as the buffer and the extent
+     allow. Only a record larger than the buffer grows it. *)
+  let ensure pos need =
+    let have = !base + !fill - pos in
+    if need > have then begin
+      let dst = if need > Bytes.length !buf then Bytes.create need else !buf in
+      Bytes.blit !buf (pos - !base) dst 0 have;
+      let want = min (Bytes.length dst) (hi - pos) in
+      prefetch_span t (page_of t (pos + have)) (page_of t (pos + want - 1));
+      blit_span t (pos + have) (want - have) dst have;
+      buf := dst;
+      base := pos;
+      fill := want
+    end
+  in
+  let rec go pos =
+    if pos < hi then begin
+      if hi - pos < 4 then corrupt "Heap_file.scan: length prefix overruns the extent";
+      ensure pos 4;
+      let len = prefix_of !buf (pos - !base) in
+      if len <= 0 || len > hi - pos - 4 then corrupt "Heap_file.scan: mangled length prefix";
+      ensure pos (4 + len);
+      f !buf (pos - !base + 4) len;
+      go (pos + 4 + len)
+    end
+  in
+  go lo
 
 let size_bytes t = t.payload
 let last_handle t = t.last

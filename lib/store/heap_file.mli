@@ -18,8 +18,21 @@ val append : t -> string -> handle
 (** Write a record at the end; O(record size / page size) page writes. *)
 
 val read : t -> handle -> string
-(** @raise Fx_util.Codec.Corrupt on an invalid handle or a mangled
+(** One pool access when the record's length prefix and payload share
+    a page.
+    @raise Fx_util.Codec.Corrupt on an invalid handle or a mangled
     length prefix. *)
+
+val scan : t -> lo:handle -> hi:handle -> (bytes -> int -> int -> unit) -> unit
+(** [scan t ~lo ~hi f] streams the records that tile the byte extent
+    [\[lo, hi)] — [lo] is a handle, each next record starts where the
+    previous one ends, and the last one ends at [hi] — calling
+    [f buf pos len] on each payload in place, at [buf.[pos .. pos+len-1]].
+    The bytes are valid only until [f] returns. The extent is read in
+    bounded chunks of a few pages through the pool (one access per page,
+    no per-record copy); a record larger than a chunk is read whole.
+    @raise Fx_util.Codec.Corrupt on an extent outside the file, a
+    mangled length prefix, or a record that overruns [hi]. *)
 
 val size_bytes : t -> int
 (** Bytes of record payload written (excluding page headers/slack). *)

@@ -11,8 +11,9 @@
    and pages that are mid-I/O are latched in their slot
    ([loading]/[flushing]) so a miss fill or an eviction write-back for
    page A never blocks a pool hit on page B of the same stripe.
-   Callers only ever receive fresh [Bytes] copies, never a pool slot,
-   so no page memory is shared outside a critical section. *)
+   Callers only ever receive fresh [Bytes] copies, never a pool slot;
+   [read_with] lends a slot's bytes to a callback inside the stripe's
+   critical section only, so no page memory is shared outside one. *)
 
 let header_magic = "FXPG1\n"
 
@@ -436,17 +437,19 @@ let append_page t =
       if over then evict_excess t s;
       page)
 
+let read_with t ~page f =
+  check_open t;
+  check_page t page;
+  let s = stripe_of t page in
+  let v, over = with_page t s page ~for_write:false (fun slot -> f slot.data) in
+  if over then evict_excess t s;
+  v
+
 let read t ~page ~offset ~len =
   check_open t;
   if offset < 0 || len < 0 || offset > t.page_size || len > t.page_size - offset then
     invalid_arg "Pager.read: out of page bounds";
-  check_page t page;
-  let s = stripe_of t page in
-  let out, over =
-    with_page t s page ~for_write:false (fun slot -> Bytes.sub slot.data offset len)
-  in
-  if over then evict_excess t s;
-  out
+  read_with t ~page (fun data -> Bytes.sub data offset len)
 
 let write t ~page ~offset buf =
   check_open t;

@@ -22,8 +22,9 @@
     I/O for page A does not block a pool hit on page B. No mutex is
     ever held across a [Unix] syscall — see DESIGN.md §7 for the
     acquisition order. No operation returns pool memory — {!read}
-    hands back a fresh [Bytes] copy — so nothing is shared across a
-    lock release. The structures layered on top ({!Btree},
+    hands back a fresh [Bytes] copy, and {!read_with} lends the pooled
+    bytes only for the duration of its callback, under the stripe lock —
+    so nothing is shared across a lock release. The structures layered on top ({!Btree},
     {!Heap_file}) are therefore safe for concurrent {e readers};
     interleaving a writer with readers still needs external
     coordination, because one logical B-tree or heap operation spans
@@ -64,6 +65,16 @@ val append_page : t -> int
 val read : t -> page:int -> offset:int -> len:int -> bytes
 (** Read [len] bytes from one page (bounds-checked, overflow-safe).
     Returns a fresh copy — never a view into the pool. *)
+
+val read_with : t -> page:int -> (bytes -> 'a) -> 'a
+(** [read_with t ~page f] is one logical read of [page] that copies
+    nothing itself: [f] runs on the pooled page bytes (exactly
+    {!page_size} of them) while the page's stripe lock is held. [f]
+    must only read them, must copy out whatever outlives the call, must
+    not call back into [t], and should be short — it holds up every
+    other access to the stripe. Used by {!Heap_file} to read a record's
+    length prefix and payload in one pool access, and to fill scan
+    buffers without a per-page allocation. *)
 
 val write : t -> page:int -> offset:int -> bytes -> unit
 (** Write within one page; the page stays dirty in the pool until

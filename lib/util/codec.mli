@@ -23,6 +23,16 @@ module Reader : sig
   val create : magic:string -> string -> t
   (** @raise Corrupt when the magic tag does not match. *)
 
+  val sub : magic:string -> bytes -> pos:int -> len:int -> t
+  (** An in-place reader over the record [data.[pos .. pos + len - 1]]:
+      no copy, the same checks as {!create}, and every read stays inside
+      the record. The caller must not change those bytes while reading.
+      @raise Corrupt when the record extends past [data] or the magic
+      tag does not match. *)
+
+  val remaining : t -> int
+  (** Bytes left before the end of the record. *)
+
   val int : t -> int
   val int_array : t -> int array
   val string : t -> string

@@ -2,8 +2,8 @@
 # Smoke test for persistent serving: save a small deployment, boot
 # flix_serve from it (twice — the second boot must reuse the files and
 # skip the index build), drive PING / DESCENDANTS / CONNECTED / METRICS
-# over the wire, and check that a mangled store dies with a one-line
-# error instead of a backtrace. Then hot reload: INGEST and RELOAD
+# over the wire, and check that a mangled store (tag directory or
+# catalog) dies with a one-line error instead of a backtrace. Then hot reload: INGEST and RELOAD
 # against a live in-memory server under concurrent query load (zero
 # dropped connections, post-reload answers byte-identical to a fresh
 # server), with the snapshot epoch / pin / reload-duration metrics
@@ -106,6 +106,17 @@ ask "DESCENDANTS dblp_0003 - author 5" | grep -q "^DONE " || fail "DESCENDANTS a
 
 kill "$SRV_PID" && wait "$SRV_PID" 2>/dev/null
 SRV_PID=
+
+echo "== mangled tag directory: one-line error, nonzero exit =="
+# Keep the page-file header; overwrite the directory record's magic
+# just past the 4-byte length prefix of the first data page.
+printf 'garbage!' | dd of="$DIR/index.tags" bs=1 seek=4100 conv=notrunc status=none \
+  || fail "could not mangle index.tags"
+out=$("$BIN" --index-dir "$DIR" --port "$PORT" 2>&1)
+status=$?
+[ "$status" -ne 0 ] || fail "mangled tag directory accepted (exit 0)"
+echo "$out" | grep -q "corrupt index store" || fail "no diagnostic for mangled tag directory"
+echo "$out" | grep -q "Raised at\|Fatal error" && fail "backtrace leaked for mangled tag directory"
 
 echo "== mangled store: one-line error, nonzero exit =="
 echo garbage >"$DIR/index.catalog"

@@ -239,6 +239,186 @@ let prop_disk_set_scans =
       set_scans_match_pairwise (H.data_graph_of (n, edges) ~tag_seed:3)
       && set_scans_match_pairwise (H.data_graph_of (n, dag) ~tag_seed:4))
 
+(* The tag-clustered store against the 2-hop reference, under tag
+   layouts that stress the runs: every node in one tag; an empty tag
+   between full ones and a single-node tag; uniform random tags. Every
+   node is queried against every tag, the wildcard and a tag id past
+   the directory, so each scan also meets the query node inside its
+   own run; EVALUATE covers every (start, target) pair, start = target
+   included. *)
+let clustered_store_matches (n, edges) tag =
+  let dg = { Pi.graph = Digraph.of_edges ~n edges; tag } in
+  let hopi = Hopi.build dg in
+  let labels = Hopi.labels hopi in
+  let nodes = List.init n Fun.id in
+  let tags = List.init (2 + Array.fold_left max 0 tag) Fun.id in
+  let by_tag w = List.filter (fun v -> tag.(v) = w) nodes in
+  let dist u v = if u = v then Some 0 else Two_hop.distance labels u v in
+  let reference dist u want =
+    (match want with None -> nodes | Some w -> by_tag w)
+    |> List.filter_map (fun v -> Option.map (fun d -> (v, d)) (dist u v))
+    |> Pi.sort_results
+  in
+  let evaluate_reference starts target =
+    List.filter_map
+      (fun v ->
+        List.filter_map (fun s -> if s = v then None else Two_hop.distance labels s v) starts
+        |> List.fold_left (fun best d -> Some (Option.fold ~none:d ~some:(min d) best)) None
+        |> Option.map (fun d -> (v, d)))
+      (by_tag target)
+    |> Pi.sort_results
+  in
+  with_disk_hopi dg hopi (fun disk ->
+      List.for_all (fun w -> Disk_hopi.nodes_by_tag disk w = by_tag w) tags
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun want ->
+                 Disk_hopi.descendants_by_tag disk u want = reference dist u want
+                 && Disk_hopi.ancestors_by_tag disk u want
+                    = reference (fun u v -> dist v u) u want)
+               (None :: List.map Option.some tags))
+           nodes
+      && List.for_all
+           (fun start ->
+             List.for_all
+               (fun target ->
+                 Disk_hopi.evaluate disk ~starts:(by_tag start) ~target
+                 = evaluate_reference (by_tag start) target)
+               tags)
+           tags)
+
+let prop_disk_clustered_store =
+  H.qtest ~count:40 "clustered runs ≡ 2-hop distance (empty, single, one-tag runs)"
+    (QCheck.pair (H.digraph_arb ~max_n:14 ()) QCheck.small_nat)
+    (fun ((n, edges), seed) ->
+      let rng = Fx_util.Rng.create seed in
+      (* Tag 1 stays empty between tags 0 and 2; the last node is alone
+         in tag 4. *)
+      let sparse =
+        Array.init n (fun v -> if v = n - 1 then 4 else [| 0; 2; 3 |].(Fx_util.Rng.int rng 3))
+      in
+      clustered_store_matches (n, edges) (Array.make n 0)
+      && clustered_store_matches (n, edges) sparse
+      && clustered_store_matches (n, edges) (H.tags_of_graph seed n))
+
+(* A store in the older layout — node-ordered label records behind an
+   "fxend" trailer, and a B-tree tag directory keyed (tag << 32) | node
+   — is refused with a message naming the layout, never served. *)
+let test_disk_old_layout_refused () =
+  let dg = graph_dg () in
+  let hopi = Hopi.build dg in
+  let labels = Hopi.labels hopi in
+  let n = Digraph.n_nodes dg.graph in
+  let module Pager = Fx_store.Pager in
+  let module Heap = Fx_store.Heap_file in
+  let module Btree = Fx_store.Btree in
+  let module W = Fx_util.Codec.Writer in
+  let path = Filename.temp_file "fxold" "" in
+  let record magic fill =
+    let w = W.create ~magic in
+    fill w;
+    W.contents w
+  in
+  let write_old_labels () =
+    let file = path ^ ".labels" in
+    Sys.remove file;
+    let pager = Pager.create file in
+    let heap = Heap.create pager in
+    let store side =
+      Array.init n (fun v ->
+          let entries = side labels v in
+          Heap.append heap
+            (record "fxlab" (fun w ->
+                 W.int w (Array.length entries);
+                 Array.iter (fun (h, d) -> W.int w h; W.int w d) entries)))
+    in
+    let in_handle = store Two_hop.raw_in_label in
+    let out_handle = store Two_hop.raw_out_label in
+    let dir =
+      Heap.append heap
+        (record "fxdir" (fun w ->
+             W.int w n;
+             W.int_array w in_handle;
+             W.int_array w out_handle))
+    in
+    ignore (Heap.append heap (record "fxend" (fun w -> W.int w dir)));
+    Pager.close pager
+  in
+  let write_old_tags () =
+    let file = path ^ ".tags" in
+    Sys.remove file;
+    let pager = Pager.create file in
+    let tree = Btree.create pager in
+    Array.iteri (fun node tag -> Btree.insert tree ~key:((tag lsl 32) lor node) ~value:node) dg.tag;
+    Pager.close pager
+  in
+  let refused what =
+    match Disk_hopi.open_ ~path () with
+    | d ->
+        Disk_hopi.close d;
+        Alcotest.fail (what ^ ": old layout served")
+    | exception Fx_util.Codec.Corrupt msg ->
+        check (what ^ " names the layout") true
+          (Astring.String.is_infix ~affix:"tag-clustered run layout" msg)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".labels"; path ^ ".tags" ])
+    (fun () ->
+      Disk_hopi.save ~path dg hopi;
+      write_old_labels ();
+      write_old_tags ();
+      refused "old store";
+      (* Current labels next to an old B-tree directory. *)
+      Disk_hopi.save ~path dg hopi;
+      write_old_tags ();
+      refused "B-tree tag directory";
+      (* Old labels next to a current directory. *)
+      Disk_hopi.save ~path dg hopi;
+      write_old_labels ();
+      refused "node-ordered labels")
+
+(* A mangled record inside a run surfaces as Corrupt from the scan,
+   never as an answer. Node 0 (tag 0) opens the first in-run, so its
+   record sits at byte 0: a 4-byte length, then "fxlab\xff", then the
+   entry count (one byte, zig-zag: twice the count, for small labels). *)
+let test_disk_run_corrupt () =
+  let dg = graph_dg () in
+  let hopi = Hopi.build dg in
+  let path = Filename.temp_file "fxrun" "" in
+  let smash pos change =
+    Disk_hopi.save ~path dg hopi;
+    let pager = Fx_store.Pager.create (path ^ ".labels") in
+    let old = Bytes.get (Fx_store.Pager.read pager ~page:0 ~offset:pos ~len:1) 0 in
+    Fx_store.Pager.write pager ~page:0 ~offset:pos (Bytes.make 1 (change old));
+    Fx_store.Pager.close pager;
+    let query () =
+      let disk = Disk_hopi.open_ ~path () in
+      Fun.protect
+        ~finally:(fun () -> Disk_hopi.close disk)
+        (fun () -> Disk_hopi.descendants_by_tag disk 5 (Some 0))
+    in
+    (* A broken length prefix also breaks the record chain that open
+       walks, so that store may already be refused there. *)
+    match query () with
+    | _ -> Alcotest.fail "mangled run record served"
+    | exception Fx_util.Codec.Corrupt _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".labels"; path ^ ".tags" ])
+    (fun () ->
+      smash 4 (fun _ -> 'X') (* magic *);
+      smash 10 (fun _ -> '\x7f') (* entry count -64 *);
+      (* One entry fewer: the last entry's bytes are left trailing. *)
+      smash 10 (fun c -> Char.chr (Char.code c - 2));
+      smash 2 (fun _ -> '\x7f') (* length prefix past the run *))
+
 (* A [stop] that fires on its second poll cuts every scan after one
    64-fetch block: the hits found so far, exact, flagged by [Cut]. *)
 let test_disk_scan_stop () =
@@ -670,6 +850,9 @@ let () =
         [
           prop_disk_set_scans;
           Alcotest.test_case "stop cuts a scan" `Quick test_disk_scan_stop;
+          prop_disk_clustered_store;
+          Alcotest.test_case "old layout refused" `Quick test_disk_old_layout_refused;
+          Alcotest.test_case "mangled run record" `Quick test_disk_run_corrupt;
         ] );
       ( "ppo",
         [

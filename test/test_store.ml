@@ -472,6 +472,90 @@ let test_heap_smashed_prefix () =
       smash (-1l);
       Pager.close p)
 
+(* Place a record's handle [k] bytes before a page boundary for every
+   k from 1 to 8 — so its 4-byte length prefix is split at every offset
+   (k < 4), ends flush with the page (k = 4), or leaves the payload to
+   straddle (k > 4) — with payloads that fit in the page's tail, cross
+   into the next page, or span several. Every record reads back byte
+   for byte; one whose prefix and payload share a page costs exactly
+   one pool access. *)
+let test_heap_split_prefix () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let ps = 64 in
+      let p = Pager.create ~page_size:ps path in
+      let h = Heap.create p in
+      let cursor = ref 0 and written = ref [] and tag = ref 0 in
+      let append s =
+        let hd = Heap.append h s in
+        check_int "records are contiguous" !cursor hd;
+        cursor := hd + 4 + String.length s;
+        written := (hd, s) :: !written;
+        hd
+      in
+      let payload len =
+        incr tag;
+        String.init len (fun i -> Char.chr ((!tag * 31 + i) land 0xff))
+      in
+      for k = 1 to 8 do
+        List.iter
+          (fun len ->
+            (* A filler puts the next handle at [ps - k] within its page. *)
+            let gap = (((ps - k - !cursor - 4) mod ps) + ps) mod ps in
+            ignore (append (payload (if gap = 0 then ps else gap)));
+            let hd = append (payload len) in
+            check_int "handle before the boundary" (ps - k) (hd mod ps))
+          [ 1; 3; 60; 200 ]
+      done;
+      List.iter
+        (fun (hd, s) ->
+          Pager.reset_stats p;
+          check_str "byte-exact" s (Heap.read h hd);
+          if hd mod ps + 4 + String.length s <= ps then
+            check_int "one pool access" 1 (Pager.stats p).logical_reads)
+        !written;
+      Pager.close p;
+      (* And again through a cold reopen, cursor recovery included. *)
+      let p = Pager.create ~page_size:ps ~pool_pages:2 path in
+      let h = Heap.create p in
+      List.iter (fun (hd, s) -> check_str "byte-exact after reopen" s (Heap.read h hd)) !written;
+      check "cursor recovered" true (Heap.last_handle h = Some (fst (List.hd !written)));
+      Pager.close p)
+
+(* A scan streams exactly the records of its extent, in place, through
+   a buffer smaller than some of them; extents that leave the file or
+   cut a record are refused. *)
+let test_heap_scan () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let p = Pager.create ~page_size:64 ~pool_pages:4 path in
+      let h = Heap.create p in
+      let records = List.init 40 (fun i -> String.make (1 + (i * 37 mod 700)) (Char.chr (65 + i))) in
+      let handles = List.map (Heap.append h) records in
+      let last = List.nth handles 39 in
+      let hi = last + 4 + String.length (List.nth records 39) in
+      let scan ~lo ~hi =
+        let acc = ref [] in
+        Heap.scan h ~lo ~hi (fun buf pos len -> acc := Bytes.sub_string buf pos len :: !acc);
+        List.rev !acc
+      in
+      check "whole extent" true (scan ~lo:0 ~hi = records);
+      let lo = List.nth handles 10 and mid = List.nth handles 20 in
+      check "sub-extent" true (scan ~lo ~hi:mid = List.filteri (fun i _ -> i >= 10 && i < 20) records);
+      check "empty extent" true (scan ~lo:mid ~hi:mid = []);
+      let expect_corrupt name f =
+        match f () with
+        | exception Fx_util.Codec.Corrupt _ -> ()
+        | _ -> Alcotest.fail (name ^ ": accepted")
+      in
+      expect_corrupt "past the file" (fun () -> scan ~lo:0 ~hi:(hi + 100_000));
+      expect_corrupt "negative" (fun () -> scan ~lo:(-1) ~hi);
+      expect_corrupt "inverted" (fun () -> scan ~lo:mid ~hi:lo);
+      expect_corrupt "cuts a record" (fun () -> scan ~lo:0 ~hi:(mid + 3));
+      expect_corrupt "cuts a payload" (fun () -> scan ~lo:0 ~hi:(mid + 6));
+      expect_corrupt "starts mid-record" (fun () -> scan ~lo:(lo + 5) ~hi);
+      Pager.close p)
+
 (* --- b+tree ------------------------------------------------------------------ *)
 
 module Btree = Fx_store.Btree
@@ -729,6 +813,9 @@ let () =
           Alcotest.test_case "reopen" `Quick test_heap_reopen;
           Alcotest.test_case "bad handles" `Quick test_heap_bad_handles;
           Alcotest.test_case "smashed length prefix" `Quick test_heap_smashed_prefix;
+          Alcotest.test_case "length prefix split at every offset" `Quick
+            test_heap_split_prefix;
+          Alcotest.test_case "in-place scan" `Quick test_heap_scan;
         ] );
       ( "btree",
         [

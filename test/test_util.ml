@@ -157,6 +157,55 @@ let test_codec_corrupt () =
       ignore (Codec.Reader.int r);
       Codec.Reader.expect_end r)
 
+(* The in-place reader over a window of a larger buffer must refuse
+   exactly what the copying reader refuses, and never read past its
+   window into the bytes around it. *)
+let test_codec_in_place () =
+  let framed data =
+    (* Junk on both sides that would complete a truncated varint or
+       pass for trailing bytes if the window leaked. *)
+    let buf = Bytes.of_string ("\x81\x81" ^ data ^ "\x01\x01\x01") in
+    Codec.Reader.sub ~magic:"t" buf ~pos:2 ~len:(String.length data)
+  in
+  let both name data decode =
+    let copying = match decode (Codec.Reader.create ~magic:"t" data) with
+      | () -> false
+      | exception Codec.Corrupt _ -> true
+    in
+    let in_place = match decode (framed data) with
+      | () -> false
+      | exception Codec.Corrupt _ -> true
+    in
+    check (name ^ ": copying reader refuses") true copying;
+    check (name ^ ": in-place reader refuses") true in_place
+  in
+  let int r = ignore (Codec.Reader.int r) in
+  both "bad magic" "u\xff\x02" int;
+  both "magic without separator" "t\x02" int;
+  both "empty" "" int;
+  both "truncated varint" "t\xff\xac" int;
+  both "varint too long" ("t\xff" ^ String.make 10 '\x80' ^ "\x01") int;
+  both "trailing bytes" "t\xff\x02\x04" (fun r -> int r; Codec.Reader.expect_end r);
+  both "array past the record" "t\xff\x06\x02" (fun r -> ignore (Codec.Reader.int_array r));
+  (* A well-formed record decodes the same both ways. *)
+  let w = Codec.Writer.create ~magic:"t" in
+  List.iter (Codec.Writer.int w) [ 300; -7; 0 ];
+  let data = Codec.Writer.contents w in
+  let decode r =
+    let xs = List.init 3 (fun _ -> Codec.Reader.int r) in
+    Codec.Reader.expect_end r;
+    xs
+  in
+  Alcotest.(check (list int)) "same values" (decode (Codec.Reader.create ~magic:"t" data))
+    (decode (framed data));
+  (* A window that extends past its buffer is refused up front. *)
+  let buf = Bytes.of_string data in
+  List.iter
+    (fun (pos, len) ->
+      expect_corrupt (fun () -> Codec.Reader.sub ~magic:"t" buf ~pos ~len))
+    [ (0, Bytes.length buf + 1); (1, Bytes.length buf); (-1, 2); (0, -1);
+      (max_int, 1); (1, max_int) ]
+
 let prop_codec_ints =
   Helpers.qtest "codec int roundtrip"
     QCheck.(list int)
@@ -196,6 +245,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "corrupt input" `Quick test_codec_corrupt;
+          Alcotest.test_case "in-place reader" `Quick test_codec_in_place;
           prop_codec_ints;
         ] );
       ("stopwatch", [ Alcotest.test_case "basic" `Quick test_stopwatch ]);
