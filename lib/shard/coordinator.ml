@@ -7,8 +7,7 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* A cross-shard link with both endpoints located once at create time:
-   the portal search touches every link per settled portal. *)
+(* A cross-shard link with both endpoints located once at create time. *)
 type located_link = {
   src : int;  (* global *)
   dst : int;  (* global *)
@@ -36,28 +35,24 @@ type t = {
   shards : Shard_client.t array;
   addrs : (string * int) list;  (* the addresses [shards] was built from *)
   links : located_link array;
-  by_src_shard : located_link list array;  (* links leaving each shard *)
-  by_dst_shard : located_link list array;  (* links entering each shard *)
-  (* memoized probe results; shard indexes are immutable so entries
-     never go stale. One mutex guards both tables (probe volume, not
+  (* Memoized probe results, shared across requests; shard indexes are
+     immutable so entries never go stale. The tables are bounded by
+     [cache_cap] and reset when full, so an entry can vanish at any
+     moment: they only spare probes, and no answer is read from them
+     (see [wave]). One mutex guards all three tables (probe volume, not
      contention, is the cost being managed here). *)
   cache_m : Mutex.t;
   conn_cache : (int * int * int, int option) Hashtbl.t;  (* shard, a, b (local) *)
   start_cache : (int * int * string, int option) Hashtbl.t;  (* shard, node, tag *)
-  (* Entry-portal streams for the closure fast path, cached raw — local
-     ids, no offset — so one fetch serves every start that reaches the
-     portal. Keyed by everything the shard sees (shard, local, tag, k,
-     remaining); only successful fetches are stored. *)
+  (* Entry-portal streams, cached raw — local ids, no offset — so one
+     fetch serves every start that reaches the portal. Keyed by
+     everything the shard sees (shard, local, tag, k, remaining); only
+     successful fetches are stored. *)
   stream_cache : (int * int * string option * int * int option, P.item list) Hashtbl.t;
   cache_cap : int;
-  (* [batching = false] sends every probe as its own round trip — the
-     before/after lever for the bench and the equivalence tests. *)
-  batching : bool;
-  (* The portal closure, when one was loaded AND its epoch matches the
-     plan. A mismatched closure is dropped at create ([closure_stale])
-     rather than risking inexact joins. *)
-  closure : Portal_closure.t option;
-  closure_stale : bool;
+  (* The portal closure; [create] only accepts one whose epoch matches
+     the plan. *)
+  closure : Portal_closure.t;
   (* Every distinct link target / link source, located once. *)
   entry_portals : portal array;
   exit_portals : portal array;
@@ -69,7 +64,6 @@ type t = {
      create. *)
   source_nodes : (int, unit) Hashtbl.t;
   closure_lookups : int Atomic.t;
-  closure_fallbacks : int Atomic.t;
   query_cache : Coord_cache.t option;
   fanout_hist : int Atomic.t array;
   fanout_count : int Atomic.t;
@@ -79,13 +73,24 @@ type t = {
   batch_sum : int Atomic.t;
 }
 
-let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~shards
-    () =
+let mismatched_closure =
+  "the portal closure was built for a different shard plan; rebuild with --build-shards"
+
+let create ?(cache_cap = 65536) ?query_cache ?closure ~plan ~shards () =
   let n = Shard_plan.n_shards plan in
   if List.length shards <> n then
     invalid_arg
       (Printf.sprintf "Coordinator.create: plan has %d shards, got %d addresses" n
          (List.length shards));
+  let closure =
+    match closure with
+    | Some c when Portal_closure.matches c plan -> c
+    | Some _ -> invalid_arg ("Coordinator.create: " ^ mismatched_closure)
+    | None ->
+        invalid_arg
+          "Coordinator.create: the shard manifest has no portal closure; rebuild with \
+           --build-shards"
+  in
   let clients =
     Array.of_list
       (List.mapi (fun i (host, port) -> Shard_client.create ~id:i ~host ~port ()) shards)
@@ -98,17 +103,6 @@ let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~
         { src = l.src; dst = l.dst; dst_tag = l.dst_tag; src_shard; src_local;
           dst_shard; dst_local })
       (Shard_plan.cross_links plan)
-  in
-  let bucket_by proj =
-    let buckets = Array.make n [] in
-    Array.iter (fun l -> buckets.(proj l) <- l :: buckets.(proj l)) links;
-    buckets
-  in
-  let closure_given = Option.is_some closure in
-  let closure =
-    match closure with
-    | Some c when Portal_closure.matches c plan -> Some c
-    | _ -> None
   in
   let dedup_portals proj tag =
     let seen = Hashtbl.create 64 in
@@ -142,30 +136,22 @@ let create ?(cache_cap = 65536) ?(batching = true) ?query_cache ?closure ~plan ~
     shards = clients;
     addrs = shards;
     links;
-    by_src_shard = bucket_by (fun l -> l.src_shard);
-    by_dst_shard = bucket_by (fun l -> l.dst_shard);
     cache_m = Mutex.create ();
     conn_cache = Hashtbl.create 256;
     start_cache = Hashtbl.create 256;
     stream_cache = Hashtbl.create 256;
     cache_cap;
-    batching;
     closure;
-    closure_stale = closure_given && Option.is_none closure;
     entry_portals;
     exit_portals;
     entries_by_shard = portals_by_shard entry_portals;
     exits_by_shard = portals_by_shard exit_portals;
     source_nodes;
     closure_lookups = Atomic.make 0;
-    closure_fallbacks = Atomic.make 0;
     query_cache =
       Option.map
         (fun capacity ->
-          Coord_cache.create
-            ~closure_epoch:
-              (match closure with Some c -> Portal_closure.epoch c | None -> 0)
-            ~capacity ())
+          Coord_cache.create ~closure_epoch:(Portal_closure.epoch closure) ~capacity ())
         query_cache;
     fanout_hist = Array.init (Array.length fanout_buckets_ms + 1) (fun _ -> Atomic.make 0);
     fanout_count = Atomic.make 0;
@@ -187,9 +173,8 @@ let probe_subs_total t =
   Array.fold_left (fun acc s -> acc + Shard_client.subs_total s) 0 t.shards
 
 let query_cache_stats t = Option.map Coord_cache.stats t.query_cache
-let has_closure t = Option.is_some t.closure
 let closure_lookups_total t = Atomic.get t.closure_lookups
-let closure_fallbacks_total t = Atomic.get t.closure_fallbacks
+let closure_fallbacks_total _ = 0
 
 (* --- per-request context --------------------------------------------- *)
 
@@ -264,23 +249,20 @@ let shard_call t ctx shard req =
     classify ctx (Result.map inline_items result)
   end
 
-(* Run one shard's share of a probe wave: a single pipelined BATCH
-   round trip when batching is on, per-request calls otherwise. *)
+(* Run one shard's share of a probe wave as a single pipelined BATCH
+   round trip. *)
 let exec_shard t ctx shard reqs =
   let n = Array.length reqs in
   let out = Array.make n None in
-  if t.batching then begin
-    let left = remaining_ms ctx in
-    if left <= 0 then Atomic.set ctx.timed_out true
-    else begin
-      observe_batch t n;
-      let sw = Stopwatch.start () in
-      let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
-      observe_fanout t (Stopwatch.elapsed_ns sw);
-      Array.iteri (fun i r -> out.(i) <- classify ctx r) results
-    end
-  end
-  else Array.iteri (fun i req -> out.(i) <- shard_call t ctx shard req) reqs;
+  let left = remaining_ms ctx in
+  if left <= 0 then Atomic.set ctx.timed_out true
+  else begin
+    observe_batch t n;
+    let sw = Stopwatch.start () in
+    let results = Shard_client.call_many ~deadline_ms:left t.shards.(shard) reqs in
+    observe_fanout t (Stopwatch.elapsed_ns sw);
+    Array.iteri (fun i r -> out.(i) <- classify ctx r) results
+  end;
   out
 
 (* --- memoized probes -------------------------------------------------- *)
@@ -299,68 +281,67 @@ let cache_store t table key v =
    as one batch per shard. Each entry pairs a request with the closure
    that consumes its (classified) answer; [run_plan] executes the wire
    calls on per-shard threads but runs every [apply] sequentially on
-   the calling thread, so the closures mutate caches and stream
-   accumulators without any locking of their own. *)
-type wave_plan = {
+   the calling thread, so the closures mutate the wave's tables and
+   stream accumulators without any locking of their own.
+
+   The wave carries its own probe answers: a memo hit is copied in when
+   the probe is queued, a fired probe's answer is written here as well
+   as to the memo, and the readers ({!conn_dist}, {!start_dist}) look
+   only here. The memo may drop any entry between queueing and reading,
+   so reading it back would turn an evicted segment into a false
+   "unreachable". Per key: [None] while the probe is in flight (or
+   failed), [Some d] once answered. *)
+type wave = {
   per_shard : (P.request * ((P.item list * P.response) option -> unit)) list array;
-  (* probes already queued this wave — several wave nodes can ask for
-     the same segment distance *)
-  queued_conn : (int * int * int, unit) Hashtbl.t;
-  queued_start : (int * int * string, unit) Hashtbl.t;
+  conn : (int * int * int, int option option) Hashtbl.t;  (* shard, a, b (local) *)
+  start : (int * int * string, int option option) Hashtbl.t;  (* shard, node, tag *)
 }
 
 let new_plan t =
-  {
-    per_shard = Array.make (Array.length t.shards) [];
-    queued_conn = Hashtbl.create 16;
-    queued_start = Hashtbl.create 8;
-  }
+  { per_shard = Array.make (Array.length t.shards) []; conn = Hashtbl.create 16;
+    start = Hashtbl.create 8 }
 
 let plan_add plan shard req apply =
   plan.per_shard.(shard) <- (req, apply) :: plan.per_shard.(shard)
 
-(* Queue a within-shard distance probe unless it is trivial, cached, or
-   already part of this wave. Probes carry no max_dist so one cache
+(* Queue [req] for [key] unless this wave already knows or awaits the
+   answer; a memo hit answers it without a probe. [answer] reads the
+   classified reply: [None] leaves the key unanswered and uncached, so
+   a later request re-asks once the shard recovers. *)
+let plan_probe plan t ~table ~memo ~shard ~key ~req ~answer =
+  if not (Hashtbl.mem table key) then
+    match cache_find t memo key with
+    | Some d -> Hashtbl.replace table key (Some d)
+    | None ->
+        Hashtbl.replace table key None;
+        plan_add plan shard req (fun reply ->
+            match answer reply with
+            | Some d ->
+                Hashtbl.replace table key (Some d);
+                cache_store t memo key d
+            | None -> ())
+
+(* A within-shard distance probe. Probes carry no max_dist so one memo
    entry serves every request; readers prune. *)
 let plan_conn plan t ~shard ~a ~b =
-  if a <> b then begin
-    let key = (shard, a, b) in
-    if
-      (not (Hashtbl.mem plan.queued_conn key))
-      && Option.is_none (cache_find t t.conn_cache key)
-    then begin
-      Hashtbl.replace plan.queued_conn key ();
-      plan_add plan shard
-        (P.Connected { a; b; max_dist = None })
-        (function
-          | Some (_, P.Dist d) -> cache_store t t.conn_cache key d
-          | Some _ | None ->
-              (* Failed or cut off: leave uncached so a later wave (or
-                 request) re-asks once the shard recovers. *)
-              ())
-    end
-  end
+  if a <> b then
+    plan_probe plan t ~table:plan.conn ~memo:t.conn_cache ~shard ~key:(shard, a, b)
+      ~req:(P.Connected { a; b; max_dist = None })
+      ~answer:(function Some (_, P.Dist d) -> Some d | Some _ | None -> None)
 
-(* Queue a nearest-start probe: distance from the closest [tag]-named
-   node above [node] (ancestors-or-self) within its shard. *)
+(* A nearest-start probe: distance from the closest [tag]-named node
+   above [node] (ancestors-or-self) within its shard. *)
 let plan_start plan t ~shard ~node ~tag =
-  let key = (shard, node, tag) in
-  if
-    (not (Hashtbl.mem plan.queued_start key))
-    && Option.is_none (cache_find t t.start_cache key)
-  then begin
-    Hashtbl.replace plan.queued_start key ();
-    plan_add plan shard
-      (P.Ancestors { node; tag = Some tag; k = 1; max_dist = None })
-      (function
-        | Some (it :: _, _) -> cache_store t t.start_cache key (Some it.P.dist)
-        | Some ([], P.Items { timed_out = false; partial = false; _ }) ->
-            (* Only a clean empty answer is a real negative: an empty
-               TIMEOUT/PARTIAL answer must stay uncached or a slow probe
-               would poison the cache with a false "no start above". *)
-            cache_store t t.start_cache key None
-        | Some _ | None -> ())
-  end
+  plan_probe plan t ~table:plan.start ~memo:t.start_cache ~shard ~key:(shard, node, tag)
+    ~req:(P.Ancestors { node; tag = Some tag; k = 1; max_dist = None })
+    ~answer:(function
+      | Some (it :: _, _) -> Some (Some it.P.dist)
+      | Some ([], P.Items { timed_out = false; partial = false; _ }) ->
+          (* Only a clean empty answer is a real negative: an empty
+             TIMEOUT/PARTIAL answer must stay uncached or a slow probe
+             would poison the memo with a false "no start above". *)
+          Some None
+      | Some _ | None -> None)
 
 (* Fire the wave: one batch per shard, shards in parallel, then the
    applies in order on this thread. *)
@@ -397,67 +378,68 @@ let run_plan t ctx plan =
             Array.iteri (fun i r -> snd entries.(i) r) out)
         running
 
-(* Cache readers for the relax step that follows [run_plan]. An absent
-   entry means the probe failed this wave (the degradation flags are
-   already set); treat the segment as unreachable, like the unbatched
-   path did. *)
-let conn_dist t ~shard ~a ~b =
+(* The wave's answers, read after [run_plan]. A probe that failed this
+   wave (the degradation flags are already set) reads as unreachable. *)
+let conn_dist plan ~shard ~a ~b =
   if a = b then Some 0
-  else match cache_find t t.conn_cache (shard, a, b) with Some v -> v | None -> None
+  else match Hashtbl.find_opt plan.conn (shard, a, b) with Some (Some d) -> d | _ -> None
 
-let start_dist t ~shard ~node ~tag =
-  match cache_find t t.start_cache (shard, node, tag) with Some v -> v | None -> None
+let start_dist plan ~shard ~node ~tag =
+  match Hashtbl.find_opt plan.start (shard, node, tag) with Some (Some d) -> d | _ -> None
 
 (* --- the portal closure ------------------------------------------------ *)
 
-(* The oracle to join against, or [None] to take the probed path. A
-   fallback is only counted when probing will actually send portal
-   probes — with no cross links both paths are identical. *)
-let closure_for t =
-  match t.closure with
-  | Some _ as c -> c
-  | None ->
-      if Array.length t.links > 0 then Atomic.incr t.closure_fallbacks;
-      None
-
-let closure_dist t cl a b =
+let closure_dist t a b =
   Atomic.incr t.closure_lookups;
-  Portal_closure.distance cl a b
+  Portal_closure.distance t.closure a b
 
 let min_opt acc d = match acc with Some a when a <= d -> acc | _ -> Some d
 
+let over_max max_dist d = match max_dist with Some m -> d > m | None -> false
+
+(* Queue [local]'s segment probes to every exit portal of its shard. *)
+let plan_exits plan t ~shard ~local =
+  Array.iter (fun (x : portal) -> plan_conn plan t ~shard ~a:local ~b:x.local)
+    t.exits_by_shard.(shard)
+
+(* The distance from [local] to oracle node [g] through [shard]'s exit
+   portals, from the wave's answered exit probes: every path that leaves
+   the shard first crosses one of its exits, and the closure covers the
+   rest. *)
+let via_exits t plan ~shard ~local g =
+  Array.fold_left
+    (fun acc (x : portal) ->
+      match conn_dist plan ~shard ~a:local ~b:x.local with
+      | None -> acc
+      | Some dx -> (
+          match closure_dist t x.g g with None -> acc | Some dc -> min_opt acc (dx + dc)))
+    None t.exits_by_shard.(shard)
+
 (* d(e) for every entry portal [e]: the exact cross-shard distance from
-   [g0], equal by construction to what the probed wave search settles
-   (see DESIGN.md). A start the portal graph carries as a source (doc
-   root or entry portal) joins labels directly and needs no probe at
-   all; any other start pays one batched conn wave to its own shard's
-   exits, then joins from there. *)
-let closure_entry_dists t ctx cl ~g0 ~shard0 ~local0 =
-  if Hashtbl.mem t.source_nodes g0 then
-    Array.to_list t.entry_portals
-    |> List.filter_map (fun (e : portal) ->
-           Option.map (fun d -> (e, d)) (closure_dist t cl g0 e.g))
-  else begin
-    let exits = t.exits_by_shard.(shard0) in
-    let plan = new_plan t in
-    Array.iter (fun (x : portal) -> plan_conn plan t ~shard:shard0 ~a:local0 ~b:x.local)
-      exits;
-    run_plan t ctx plan;
-    Array.to_list t.entry_portals
-    |> List.filter_map (fun (e : portal) ->
-           let best =
-             Array.fold_left
-               (fun acc (x : portal) ->
-                 match conn_dist t ~shard:shard0 ~a:local0 ~b:x.local with
-                 | None -> acc
-                 | Some dx -> (
-                     match closure_dist t cl x.g e.g with
-                     | None -> acc
-                     | Some dc -> min_opt acc (dx + dc)))
-               None exits
-           in
-           Option.map (fun d -> (e, d)) best)
-  end
+   [g0] (see DESIGN.md for why the decomposition is exact). A start the
+   portal graph carries as a source (doc root or entry portal) joins
+   labels directly and needs no probe at all; any other start pays one
+   batched conn wave to its own shard's exits, then joins from there. *)
+let entry_dists t ctx ~g0 ~shard0 ~local0 =
+  let dist_to =
+    if Hashtbl.mem t.source_nodes g0 then closure_dist t g0
+    else begin
+      let plan = new_plan t in
+      plan_exits plan t ~shard:shard0 ~local:local0;
+      run_plan t ctx plan;
+      via_exits t plan ~shard:shard0 ~local:local0
+    end
+  in
+  Array.to_list t.entry_portals
+  |> List.filter_map (fun (e : portal) -> Option.map (fun d -> (e, d)) (dist_to e.g))
+
+(* Portals paired with their offsets, nearest first (ties on global
+   id), the order {!fetch_streams_on_demand} consumes them in. *)
+let nearest_first portals =
+  List.sort
+    (fun ((p1 : portal), d1) ((p2 : portal), d2) ->
+      if d1 <> d2 then Int.compare d1 d2 else Int.compare p1.g p2.g)
+    portals
 
 (* The merge's k-th candidate distance over the streams gathered so
    far: the distance of the k-th item the merge would emit from this
@@ -517,97 +499,13 @@ let fetch_streams_on_demand t ctx ~k ~exclude ~streams ~pending =
   in
   loop ()
 
-(* --- portal search ---------------------------------------------------- *)
-
-(* Dijkstra over portal nodes, expanded a whole equal-distance wave at
-   a time: every edge has weight >= 1 (one within-shard segment plus
-   the unit link hop), so once the queue's minimum is [d], {e every}
-   entry at [d] is final — settling them together yields exactly the
-   distances of node-at-a-time Dijkstra while letting [expand] probe
-   the whole frontier in one batch per shard. [expand ~d wave] returns
-   the relaxation edges, or [`Stop] to prune the rest (safe because
-   waves settle in ascending order). *)
-let wave_search ctx ~seeds ~expand =
-  let dist = Hashtbl.create 32 in
-  let settled = Hashtbl.create 32 in
-  let pq = PQ.create () in
-  let relax v d =
-    match Hashtbl.find_opt dist v with
-    | Some d' when d' <= d -> ()
-    | _ ->
-        Hashtbl.replace dist v d;
-        PQ.insert pq d v
-  in
-  List.iter (fun (v, d) -> relax v d) seeds;
-  (* Drain every queue entry at distance [d], skipping stale
-     lazy-deletion duplicates. *)
-  let rec gather d acc =
-    match PQ.peek_min pq with
-    | Some (d', v) when d' = d ->
-        ignore (PQ.extract_min pq);
-        if Hashtbl.mem settled v then gather d acc
-        else begin
-          Hashtbl.replace settled v ();
-          gather d (v :: acc)
-        end
-    | _ -> acc
-  in
-  let rec loop () =
-    match PQ.peek_min pq with
-    | None -> ()
-    | Some (d, _) ->
-        if remaining_ms ctx <= 0 then Atomic.set ctx.timed_out true
-        else begin
-          match gather d [] with
-          | [] -> loop ()
-          | wave -> (
-              match expand ~d wave with
-              | `Stop -> ()
-              | `Continue edges ->
-                  List.iter (fun (u, du) -> relax u du) edges;
-                  loop ())
-        end
-  in
-  loop ()
-
-let over_max max_dist d = match max_dist with Some m -> d > m | None -> false
-
-(* Forward expansion: from a settled entry portal [v] (a link target)
-   at distance [d], every link leaving [v]'s shard is reachable at
-   [d + within-shard distance + 1]. [plan_forward] queues the wave's
-   segment probes; [forward_edges] reads them back after [run_plan]. *)
-let plan_forward plan t ~shard ~local =
-  List.iter (fun l -> plan_conn plan t ~shard ~a:local ~b:l.src_local) t.by_src_shard.(shard)
-
-let forward_edges t ~shard ~local ~d =
-  List.filter_map
-    (fun l ->
-      match conn_dist t ~shard ~a:local ~b:l.src_local with
-      | Some ds -> Some (l.dst, d + ds + 1)
-      | None -> None)
-    t.by_src_shard.(shard)
-
-(* Reverse expansion for ancestor queries, over exit portals (link
-   sources): a link arriving in [s]'s shard puts its own source at
-   [1 + within-shard distance to s + rdist s]. *)
-let plan_reverse plan t ~shard ~local =
-  List.iter (fun l -> plan_conn plan t ~shard ~a:l.dst_local ~b:local) t.by_dst_shard.(shard)
-
-let reverse_edges t ~shard ~local ~d =
-  List.filter_map
-    (fun l ->
-      match conn_dist t ~shard ~a:l.dst_local ~b:local with
-      | Some ds -> Some (l.src, 1 + ds + d)
-      | None -> None)
-    t.by_dst_shard.(shard)
-
 (* --- stream merge ------------------------------------------------------ *)
 
 let globalize t ~shard ~offset (it : P.item) =
   { P.node = Shard_plan.global_of t.plan ~shard ~local:it.node; dist = it.dist + offset;
     meta = shard }
 
-(* One entry portal's stream on the closure fast path: replayed from
+(* One entry portal's stream: replayed from
    the stream cache when a previous request already fetched it (the
    probe is a pure read of the shard's index, so the replay is exactly
    the bytes the probe would return), otherwise a pending fetch for
@@ -640,8 +538,8 @@ let entry_stream_pending t ~(e : portal) ~tag ~k ~max_dist ~d ~add =
    shards or portals are deduplicated on first — i.e. nearest —
    occurrence. Ties break on global node id — the key packs
    (dist, node) into one integer — so the merged bytes are a function
-   of the stream multiset alone, not of which path (probed or closure)
-   produced the streams or in what order. *)
+   of the stream multiset alone, not of the order the streams arrived
+   in. *)
 let merge_streams t ~k ~exclude ~emit streams =
   let total = Shard_plan.total_nodes t.plan in
   let pq = PQ.create () in
@@ -682,62 +580,11 @@ let node_range_err t =
 
 let in_range t v = v >= 0 && v < Shard_plan.total_nodes t.plan
 
-(* Descendants of one global node, across shards: within-shard stream
-   plus offset streams from every entry portal settled by the search.
-   Wave 0 batches the start's own stream with its seed probes; each
-   search wave batches the frontier's streams and segment probes — one
-   round trip per shard per wave. *)
-let descendants_probed t ctx ~start ~tag ~k ~max_dist ~emit =
-  let shard0, local0 = Shard_plan.locate t.plan start in
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let add_stream plan ~shard ~local ~offset ~remaining =
-    plan_add plan shard
-      (P.Node_descendants { node = local; tag; k; max_dist = remaining })
-      (function
-        | Some (items, _) -> add (List.map (globalize t ~shard ~offset) items)
-        | None -> ())
-  in
-  let plan0 = new_plan t in
-  add_stream plan0 ~shard:shard0 ~local:local0 ~offset:0 ~remaining:max_dist;
-  plan_forward plan0 t ~shard:shard0 ~local:local0;
-  run_plan t ctx plan0;
-  let tag_admits name = match tag with None -> true | Some w -> w = name in
-  let entry_tag = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace entry_tag l.dst l.dst_tag) t.links;
-  wave_search ctx
-    ~seeds:(forward_edges t ~shard:shard0 ~local:local0 ~d:0)
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> (v, Shard_plan.locate t.plan v)) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (v, (shard, local)) ->
-            (* The portal node itself is a result when its tag matches —
-               the per-entry stream excludes its own start. *)
-            (match Hashtbl.find_opt entry_tag v with
-            | Some name when tag_admits name ->
-                add [ { P.node = v; dist = d; meta = shard } ]
-            | _ -> ());
-            add_stream plan ~shard ~local ~offset:d ~remaining;
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (_, (shard, local)) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:start ~emit !streams;
-  items_response ctx
-
-(* The closure fast path: the same streams, same offsets, same merge —
-   but every portal distance is a label join instead of a probe wave,
-   and only streams that can still contribute to the top [k] are
-   fetched at all. *)
-let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
+(* Descendants of one global node, across shards: the start's own
+   within-shard stream plus one offset stream per reachable entry
+   portal, offset by the portal's closure distance. Only streams that
+   can still contribute to the top [k] are fetched at all. *)
+let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
   let shard0, local0 = Shard_plan.locate t.plan start in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -749,20 +596,18 @@ let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
       | None -> ());
   run_plan t ctx plan0;
   let entries =
-    closure_entry_dists t ctx cl ~g0:start ~shard0 ~local0
+    entry_dists t ctx ~g0:start ~shard0 ~local0
     |> List.filter (fun (_, d) -> not (over_max max_dist d))
   in
   let tag_admits name = match tag with None -> true | Some w -> w = name in
-  (* Entry portals are results themselves when their tag matches, just
-     as the probed search emits each settled portal. *)
+  (* Entry portals are results themselves when their tag matches: the
+     stream from a portal excludes the portal. *)
   List.iter
     (fun ((e : portal), d) ->
       if tag_admits e.tag then add [ { P.node = e.g; dist = d; meta = e.shard } ])
     entries;
   let pending =
-    entries
-    |> List.sort (fun ((e1 : portal), d1) ((e2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare e1.g e2.g)
+    nearest_first entries
     |> List.filter_map (fun ((e : portal), d) ->
            entry_stream_pending t ~e ~tag ~k ~max_dist ~d ~add)
   in
@@ -770,61 +615,13 @@ let descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit =
   merge_streams t ~k ~exclude:start ~emit !streams;
   items_response ctx
 
-let descendants_of_node t ctx ~start ~tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> descendants_closure t ctx cl ~start ~tag ~k ~max_dist ~emit
-  | None -> descendants_probed t ctx ~start ~tag ~k ~max_dist ~emit
-
-let ancestors_probed t ctx ~node ~tag ~k ~max_dist ~emit =
-  let shard0, local0 = Shard_plan.locate t.plan node in
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  let add_stream plan ~shard ~local ~offset ~remaining =
-    plan_add plan shard
-      (P.Ancestors { node = local; tag; k; max_dist = remaining })
-      (function
-        | Some (items, _) -> add (List.map (globalize t ~shard ~offset) items)
-        | None -> ())
-  in
-  (* Reverse search over exit portals: rdist(s) = distance from link
-     source [s] down to [node]. The ancestors-or-self probe from [s]
-     then reports s's side of the collection at [rdist] offsets —
-     including [s] itself at distance 0, so portals need no separate
-     emission here. *)
-  let plan0 = new_plan t in
-  add_stream plan0 ~shard:shard0 ~local:local0 ~offset:0 ~remaining:max_dist;
-  plan_reverse plan0 t ~shard:shard0 ~local:local0;
-  run_plan t ctx plan0;
-  wave_search ctx
-    ~seeds:(reverse_edges t ~shard:shard0 ~local:local0 ~d:0)
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun s -> Shard_plan.locate t.plan s) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (shard, local) ->
-            add_stream plan ~shard ~local ~offset:d ~remaining;
-            plan_reverse plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (shard, local) -> reverse_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
-
-(* Ancestors via the closure: rdist(x) — the probed reverse search's
-   distance from exit portal [x] down to [node] — decomposes as the
-   closure leg from [x] to some entry portal of [node]'s shard plus
-   that entry's within-shard distance down to [node]. Only the latter
-   probes, one conn batch on [node]'s own shard (the same probes the
-   probed path's wave 0 sends). Anchors cannot help here: the portal
-   graph has no edges into a doc root. *)
-let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
+(* Ancestors across shards: rdist(x), the distance from exit portal [x]
+   down to [node], decomposes as the closure leg from [x] to some entry
+   portal of [node]'s shard plus that entry's within-shard distance
+   down to [node]. Only the latter probes, one conn batch on [node]'s
+   own shard. Anchors cannot help here: the portal graph has no edges
+   into a doc root. *)
+let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
   let shard0, local0 = Shard_plan.locate t.plan node in
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
@@ -844,10 +641,10 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
            let best =
              Array.fold_left
                (fun acc (e : portal) ->
-                 match conn_dist t ~shard:shard0 ~a:e.local ~b:local0 with
+                 match conn_dist plan0 ~shard:shard0 ~a:e.local ~b:local0 with
                  | None -> acc
                  | Some de -> (
-                     match closure_dist t cl x.g e.g with
+                     match closure_dist t x.g e.g with
                      | None -> acc
                      | Some dc -> min_opt acc (dc + de)))
                None t.entries_by_shard.(shard0)
@@ -857,11 +654,9 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
            | _ -> None)
   in
   (* No separate portal emission: the ancestors-or-self stream from [x]
-     reports [x] itself at distance 0, exactly as the probed path. *)
+     reports [x] itself at distance 0. *)
   let pending =
-    rdists
-    |> List.sort (fun ((x1 : portal), d1) ((x2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare x1.g x2.g)
+    nearest_first rdists
     |> List.map (fun ((x : portal), d) ->
            let remaining = Option.map (fun m -> m - d) max_dist in
            ( d,
@@ -876,11 +671,6 @@ let ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit =
   fetch_streams_on_demand t ctx ~k ~exclude:(-1) ~streams ~pending;
   merge_streams t ~k ~exclude:(-1) ~emit !streams;
   items_response ctx
-
-let ancestors_of_node t ctx ~node ~tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> ancestors_closure t ctx cl ~node ~tag ~k ~max_dist ~emit
-  | None -> ancestors_probed t ctx ~node ~tag ~k ~max_dist ~emit
 
 let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
   (* Phase 1: every shard answers over its own sub-collection, in
@@ -905,63 +695,13 @@ let evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add =
       | None -> ())
     phase1
 
-let evaluate_probed t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
-  let streams = ref [] in
-  let add s = if s <> [] then streams := s :: !streams in
-  evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
-  (* Phase 2: cross-shard reach. Seed every entry portal with the
-     nearest start-tag node above its link source — all the seed probes
-     go out as one wave, batched per source shard — then the search
-     relaxes multi-hop shard chains from there. *)
-  let seed_plan = new_plan t in
-  Array.iter
-    (fun l -> plan_start seed_plan t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag)
-    t.links;
-  run_plan t ctx seed_plan;
-  let seeds =
-    Array.to_list t.links
-    |> List.filter_map (fun l ->
-           match start_dist t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
-           | Some d0 -> Some (l.dst, d0 + 1)
-           | None -> None)
-  in
-  let entry_tag = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace entry_tag l.dst l.dst_tag) t.links;
-  wave_search ctx ~seeds
-    ~expand:(fun ~d wave ->
-      if over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> (v, Shard_plan.locate t.plan v)) wave in
-        let plan = new_plan t in
-        let remaining = Option.map (fun m -> m - d) max_dist in
-        List.iter
-          (fun (v, (shard, local)) ->
-            (match Hashtbl.find_opt entry_tag v with
-            | Some name when name = target_tag ->
-                add [ { P.node = v; dist = d; meta = shard } ]
-            | _ -> ());
-            plan_add plan shard
-              (P.Node_descendants
-                 { node = local; tag = Some target_tag; k; max_dist = remaining })
-              (function
-                | Some (items, _) -> add (List.map (globalize t ~shard ~offset:d) items)
-                | None -> ());
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        `Continue
-          (List.concat_map
-             (fun (_, (shard, local)) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  merge_streams t ~k ~exclude:(-1) ~emit !streams;
-  items_response ctx
-
-(* EVALUATE via the closure: phase 1 and the seed probes (nearest
-   start-tag node above each link source, cached across requests) are
-   unchanged; the whole phase-2 wave search collapses into label joins
-   seed-entry-by-entry. *)
-let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
+(* EVALUATE: phase 1 covers paths inside one shard. Phase 2 covers the
+   rest: seed every link target with 1 + the distance from the nearest
+   start-tag node above its link source (one batched probe wave,
+   memoized across requests), join the seeds to every entry portal
+   through the closure, and merge each reachable entry's offset
+   target-tag stream. *)
+let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
   let streams = ref [] in
   let add s = if s <> [] then streams := s :: !streams in
   evaluate_phase1 t ctx ~start_tag ~target_tag ~k ~max_dist ~add;
@@ -973,7 +713,7 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
   let seed_d = Hashtbl.create 32 in
   Array.iter
     (fun l ->
-      match start_dist t ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
+      match start_dist seed_plan ~shard:l.src_shard ~node:l.src_local ~tag:start_tag with
       | Some d0 -> (
           let d = d0 + 1 in
           match Hashtbl.find_opt seed_d l.dst with
@@ -987,7 +727,7 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
            let best =
              Hashtbl.fold
                (fun g d0 acc ->
-                 match closure_dist t cl g e.g with
+                 match closure_dist t g e.g with
                  | None -> acc
                  | Some dc -> min_opt acc (d0 + dc))
                seed_d None
@@ -1001,9 +741,7 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
       if e.tag = target_tag then add [ { P.node = e.g; dist = d; meta = e.shard } ])
     entries;
   let pending =
-    entries
-    |> List.sort (fun ((e1 : portal), d1) ((e2 : portal), d2) ->
-           if d1 <> d2 then Int.compare d1 d2 else Int.compare e1.g e2.g)
+    nearest_first entries
     |> List.filter_map (fun ((e : portal), d) ->
            entry_stream_pending t ~e ~tag:(Some target_tag) ~k ~max_dist ~d ~add)
   in
@@ -1011,78 +749,16 @@ let evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit =
   merge_streams t ~k ~exclude:(-1) ~emit !streams;
   items_response ctx
 
-let evaluate t ctx ~start_tag ~target_tag ~k ~max_dist ~emit =
-  match closure_for t with
-  | Some cl -> evaluate_closure t ctx cl ~start_tag ~target_tag ~k ~max_dist ~emit
-  | None -> evaluate_probed t ctx ~start_tag ~target_tag ~k ~max_dist ~emit
-
-let connected_probed t ctx ~a ~b ~max_dist =
-  let shard_a, local_a = Shard_plan.locate t.plan a in
-  let shard_b, local_b = Shard_plan.locate t.plan b in
-  let best = ref None in
-  let consider = function
-    | None -> ()
-    | Some d -> ( match !best with Some d' when d' <= d -> () | _ -> best := Some d)
-  in
-  (* Wave 0: the direct same-shard probe and the seed probes share one
-     batch. *)
-  let plan0 = new_plan t in
-  if shard_a = shard_b then plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:local_b;
-  plan_forward plan0 t ~shard:shard_a ~local:local_a;
-  run_plan t ctx plan0;
-  if shard_a = shard_b then
-    consider (conn_dist t ~shard:shard_a ~a:local_a ~b:local_b);
-  wave_search ctx
-    ~seeds:(forward_edges t ~shard:shard_a ~local:local_a ~d:0)
-    ~expand:(fun ~d wave ->
-      (* Waves settle in ascending order: once the frontier passes the
-         best candidate (or max_dist), no better path remains. *)
-      let beaten = match !best with Some bd -> d >= bd | None -> false in
-      if beaten || over_max max_dist d then `Stop
-      else begin
-        let located = List.map (fun v -> Shard_plan.locate t.plan v) wave in
-        let plan = new_plan t in
-        List.iter
-          (fun (shard, local) ->
-            if shard = shard_b then plan_conn plan t ~shard ~a:local ~b:local_b;
-            plan_forward plan t ~shard ~local)
-          located;
-        run_plan t ctx plan;
-        List.iter
-          (fun (shard, local) ->
-            if shard = shard_b then
-              match conn_dist t ~shard ~a:local ~b:local_b with
-              | Some db -> consider (Some (d + db))
-              | None -> ())
-          located;
-        `Continue
-          (List.concat_map
-             (fun (shard, local) -> forward_edges t ~shard ~local ~d)
-             located)
-      end);
-  match !best with
-  | Some d when not (over_max max_dist d) -> P.Dist (Some d)
-  | Some _ -> P.Dist None
-  | None ->
-      (* No path found. With a failed shard (or an expired budget) the
-         negative is unreliable, so degrade to PARTIAL instead of
-         asserting NODIST. *)
-      if Atomic.get ctx.partial || Atomic.get ctx.timed_out then items_response ctx
-      else P.Dist None
-
-(* CONNECTED via the closure: one conn batch (the same-shard direct
-   probe, [a]'s exit legs unless anchored, and the final legs from
-   [b]'s entry portals down to [b]), then label joins in between. *)
-let connected_closure t ctx cl ~a ~b ~max_dist =
+(* CONNECTED: one conn batch (the same-shard direct probe, [a]'s exit
+   legs unless anchored, and the final legs from [b]'s entry portals
+   down to [b]), then label joins in between. *)
+let connected t ctx ~a ~b ~max_dist =
   let shard_a, local_a = Shard_plan.locate t.plan a in
   let shard_b, local_b = Shard_plan.locate t.plan b in
   let anchored = Hashtbl.mem t.source_nodes a in
   let plan0 = new_plan t in
   if shard_a = shard_b then plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:local_b;
-  if not anchored then
-    Array.iter
-      (fun (x : portal) -> plan_conn plan0 t ~shard:shard_a ~a:local_a ~b:x.local)
-      t.exits_by_shard.(shard_a);
+  if not anchored then plan_exits plan0 t ~shard:shard_a ~local:local_a;
   Array.iter
     (fun (e : portal) -> plan_conn plan0 t ~shard:shard_b ~a:e.local ~b:local_b)
     t.entries_by_shard.(shard_b);
@@ -1092,26 +768,17 @@ let connected_closure t ctx cl ~a ~b ~max_dist =
     | None -> ()
     | Some d -> ( match !best with Some d' when d' <= d -> () | _ -> best := Some d)
   in
-  if shard_a = shard_b then consider (conn_dist t ~shard:shard_a ~a:local_a ~b:local_b);
+  if shard_a = shard_b then consider (conn_dist plan0 ~shard:shard_a ~a:local_a ~b:local_b);
   let dist_to_entry (e : portal) =
-    if anchored then closure_dist t cl a e.g
-    else
-      Array.fold_left
-        (fun acc (x : portal) ->
-          match conn_dist t ~shard:shard_a ~a:local_a ~b:x.local with
-          | None -> acc
-          | Some dx -> (
-              match closure_dist t cl x.g e.g with
-              | None -> acc
-              | Some dc -> min_opt acc (dx + dc)))
-        None t.exits_by_shard.(shard_a)
+    if anchored then closure_dist t a e.g
+    else via_exits t plan0 ~shard:shard_a ~local:local_a e.g
   in
   Array.iter
     (fun (e : portal) ->
       match dist_to_entry e with
       | None -> ()
       | Some d -> (
-          match conn_dist t ~shard:shard_b ~a:e.local ~b:local_b with
+          match conn_dist plan0 ~shard:shard_b ~a:e.local ~b:local_b with
           | None -> ()
           | Some de -> consider (Some (d + de))))
     t.entries_by_shard.(shard_b);
@@ -1119,13 +786,11 @@ let connected_closure t ctx cl ~a ~b ~max_dist =
   | Some d when not (over_max max_dist d) -> P.Dist (Some d)
   | Some _ -> P.Dist None
   | None ->
+      (* No path found. With a failed shard (or an expired budget) the
+         negative is unreliable, so degrade to PARTIAL instead of
+         asserting NODIST. *)
       if Atomic.get ctx.partial || Atomic.get ctx.timed_out then items_response ctx
       else P.Dist None
-
-let connected t ctx ~a ~b ~max_dist =
-  match closure_for t with
-  | Some cl -> connected_closure t ctx cl ~a ~b ~max_dist
-  | None -> connected_probed t ctx ~a ~b ~max_dist
 
 let resolve t ctx ~doc ~anchor =
   match Shard_plan.shard_of_doc t.plan doc with
@@ -1221,19 +886,10 @@ let stats_lines t =
        Printf.sprintf
          "probe cache: %d connected, %d nearest-start, %d portal-stream entries" conn
          start stream);
-      Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests (batching %s)"
-        (probe_rpcs_total t) (probe_subs_total t)
-        (if t.batching then "on" else "off");
-      (match t.closure with
-      | Some c ->
-          Printf.sprintf "%s; %d lookups, %d fallbacks" (Portal_closure.describe c)
-            (Atomic.get t.closure_lookups)
-            (Atomic.get t.closure_fallbacks)
-      | None ->
-          Printf.sprintf "portal closure: %s; %d probed fallbacks"
-            (if t.closure_stale then "stale (plan digest mismatch), dropped"
-             else "absent")
-            (Atomic.get t.closure_fallbacks));
+      Printf.sprintf "probe rpcs: %d round trips carrying %d sub-requests"
+        (probe_rpcs_total t) (probe_subs_total t);
+      Printf.sprintf "%s; %d lookups" (Portal_closure.describe t.closure)
+        (Atomic.get t.closure_lookups);
       (match query_cache_stats t with
       | None -> "query cache: disabled"
       | Some s ->
@@ -1321,19 +977,12 @@ let metric_lines t () =
     "# HELP flix_coord_closure_lookups_total Portal-closure label joins.";
     "# TYPE flix_coord_closure_lookups_total counter";
     Printf.sprintf "flix_coord_closure_lookups_total %d" (Atomic.get t.closure_lookups);
-    "# HELP flix_coord_closure_fallbacks_total Requests probed for portal \
-     distances because no usable closure was loaded.";
-    "# TYPE flix_coord_closure_fallbacks_total counter";
-    Printf.sprintf "flix_coord_closure_fallbacks_total %d"
-      (Atomic.get t.closure_fallbacks);
     "# HELP flix_closure_build_seconds Build wall time of the loaded portal closure.";
     "# TYPE flix_closure_build_seconds gauge";
-    Printf.sprintf "flix_closure_build_seconds %.6f"
-      (match t.closure with Some c -> Portal_closure.build_seconds c | None -> 0.);
+    Printf.sprintf "flix_closure_build_seconds %.6f" (Portal_closure.build_seconds t.closure);
     "# HELP flix_closure_label_entries Label entries in the loaded portal closure.";
     "# TYPE flix_closure_label_entries gauge";
-    Printf.sprintf "flix_closure_label_entries %d"
-      (match t.closure with Some c -> Portal_closure.label_entries c | None -> 0);
+    Printf.sprintf "flix_closure_label_entries %d" (Portal_closure.label_entries t.closure);
   ]
 
 let backend t =
@@ -1344,7 +993,8 @@ let backend t =
 
 (* Shard-by-shard reload behind the coordinator's own snapshot swap.
 
-   Two phases, both all-or-nothing from the coordinator's point of view:
+   The candidate closure is checked against the new plan first. Then
+   two phases, both all-or-nothing from the coordinator's point of view:
    first every shard is probed ([EPOCH]) so a dead shard is discovered
    before any shard is asked to mutate; then [RELOAD] fans out shard by
    shard. Any failure returns [Error] and the caller keeps serving the
@@ -1355,12 +1005,13 @@ let backend t =
    directory, so their swap is idempotent with respect to the data the
    old plan describes.
 
-   The new [t] reconnects from scratch (the old one still owns its
-   connection pools until it is retired) and re-judges the candidate
-   portal closure — the caller's re-read one, or by default the old
-   coordinator's — against the new plan: on a digest mismatch [create] drops it
-   as stale and every query takes the wave-Dijkstra probed path until a
-   closure is rebuilt offline. The merged-answer cache survives only
+   The candidate portal closure — the caller's re-read one, or by
+   default the old coordinator's — is judged against the new plan
+   before any shard is touched: a closure that does not match is never
+   served, so a mismatch refuses the reload and the old coordinator
+   keeps serving until a closure is rebuilt offline. The new [t]
+   reconnects from scratch (the old one still owns its connection pools
+   until it is retired). The merged-answer cache survives only
    when the plan digest is unchanged — node ids and shard data are then
    identical, so every cached merge is still byte-exact; otherwise it is
    invalidated whole (scoped invalidation needs a tag-level delta, which
@@ -1368,10 +1019,12 @@ let backend t =
 let reload ?(probe_deadline_ms = 2_000) ?(reload_deadline_ms = 120_000) ?closure t
     ~plan =
   let n = Shard_plan.n_shards plan in
+  let closure = Option.value closure ~default:t.closure in
   if n <> Array.length t.shards then
     Error
       (Printf.sprintf "new plan has %d shards, serving %d — re-deploy instead" n
          (Array.length t.shards))
+  else if not (Portal_closure.matches closure plan) then Error mismatched_closure
   else begin
     let fail_at i msg =
       Error
@@ -1395,12 +1048,8 @@ let reload ?(probe_deadline_ms = 2_000) ?(reload_deadline_ms = 120_000) ?closure
         match sweep "reload" ~deadline_ms:reload_deadline_ms P.Reload with
         | Error _ as e -> e
         | Ok () ->
-            let closure =
-              match closure with Some _ -> closure | None -> t.closure
-            in
             let fresh =
-              create ~cache_cap:t.cache_cap ~batching:t.batching ?closure ~plan
-                ~shards:t.addrs ()
+              create ~cache_cap:t.cache_cap ~closure ~plan ~shards:t.addrs ()
             in
             let query_cache =
               match t.query_cache with
@@ -1408,10 +1057,7 @@ let reload ?(probe_deadline_ms = 2_000) ?(reload_deadline_ms = 120_000) ?closure
               | Some qc ->
                   if Shard_plan.digest plan = Shard_plan.digest t.plan then Some qc
                   else begin
-                    Coord_cache.set_closure_epoch qc
-                      (match fresh.closure with
-                      | Some c -> Portal_closure.epoch c
-                      | None -> 0);
+                    Coord_cache.set_closure_epoch qc (Portal_closure.epoch closure);
                     Coord_cache.invalidate qc;
                     Some qc
                   end

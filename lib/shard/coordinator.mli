@@ -8,42 +8,40 @@
 
     {b Query evaluation.} A path between nodes in different shards
     decomposes into within-shard segments joined by cross-shard links
-    (weight 1), and the manifest knows every such link. The coordinator
-    therefore runs a Dijkstra search over {e portals} — the cross-link
-    endpoints — using shard probes ([CONNECTED], [ANCESTORS],
-    [NDESCENDANTS]) for segment distances, which yields exact global
-    distances without any global index:
+    (weight 1), and the manifest knows every such link. Between its
+    first exit from the start's shard and its last entry into the
+    target's shard, such a path runs over {e portals} — the cross-link
+    endpoints — so its middle is a path in the {!Portal_graph}. The
+    {!Portal_closure} (2-hop labels over that graph, built offline with
+    the plan and shipped in the manifest) answers every such middle leg
+    with one in-memory label join. Only the first and last legs, which
+    stay inside one shard, are probed ([CONNECTED], [ANCESTORS],
+    [NDESCENDANTS] sub-requests), and each verb sends them as one
+    pipelined [BATCH] per shard:
 
+    - [DESCENDANTS]/[NDESCENDANTS]: the start's own stream, then each
+      entry portal's distance (a label join from the start when the
+      portal graph carries it — a document root or an entry portal —
+      else the start's exit probes joined through the closure) and an
+      offset [NDESCENDANTS] stream per reachable entry.
+    - [ANCESTORS]: the mirror image over exit portals, joined through
+      the entry portals of the node's own shard.
     - [EVALUATE]: phase 1 fans the query to every shard in parallel
       (per-shard top-[k] by shard distance covers the global top-[k]);
-      phase 2 seeds entry portals from per-link [ANCESTORS] probes
-      (nearest start-tag node above each link source) and expands each
-      settled entry with an offset [NDESCENDANTS] stream.
-    - [DESCENDANTS]/[NDESCENDANTS]: same machinery seeded from the one
-      resolved start node. [ANCESTORS] runs the mirror-image search
-      over exit portals. [CONNECTED] runs the portal search with early
-      termination on the best candidate distance.
+      phase 2 seeds each link target from a per-link [ANCESTORS] probe
+      (nearest start-tag node above the link source), joins the seeds to
+      every entry portal through the closure, and streams from there.
+    - [CONNECTED]: the direct same-shard probe plus exit legs of [a] and
+      entry legs of [b] in one batch, joined through the closure.
 
-    The search expands {e wave by wave}: every portal at the current
-    frontier distance settles together (exact, because each portal edge
-    weighs at least the unit link hop), so the wave's segment probes
-    and result streams collapse into one pipelined [BATCH] per shard
-    per wave instead of one round trip per probe. Probe round trips and
-    the batch-size distribution are exported as
+    Portal result streams are fetched lazily — nearest first, stopping
+    once the remaining streams start past the merge's k-th candidate
+    distance, which cannot change the top [k]. There is no wave search:
+    the closure already holds every portal-to-portal distance. Label
+    joins are counted in [flix_coord_closure_lookups_total]; probe
+    round trips and the batch-size distribution are exported as
     [flix_shard_probe_rpcs_total] / [flix_shard_probe_subs_total] /
     [flix_shard_probe_batch_size].
-
-    {b The portal closure.} When [create] is given a {!Portal_closure}
-    whose epoch matches the plan, every portal-to-portal distance the
-    wave search would have probed for becomes one in-memory label join
-    instead, and portal result streams are fetched lazily — nearest
-    first, stopping once the remaining streams start past the merge's
-    k-th candidate distance. Answers are byte-identical to the probed
-    path's (the merge breaks distance ties on global node id, so its
-    output is a function of the stream multiset; skipped streams cannot
-    contribute to the top [k]). A missing or stale closure falls back
-    to probing, counted in [flix_coord_closure_fallbacks_total]; label
-    joins are counted in [flix_coord_closure_lookups_total].
 
     All result streams are k-way-merged by distance with
     {!Fx_graph.Priority_queue}, deduplicating nodes on first (nearest)
@@ -64,7 +62,6 @@ type t
 
 val create :
   ?cache_cap:int ->
-  ?batching:bool ->
   ?query_cache:int ->
   ?closure:Portal_closure.t ->
   plan:Shard_plan.t ->
@@ -73,39 +70,32 @@ val create :
   t
 (** [shards] lists one [host, port] per plan shard, in shard order.
     Raises [Invalid_argument] when the count does not match the plan.
-    Probe results ([CONNECTED] distances, nearest-start [ANCESTORS])
-    are memoized up to [cache_cap] entries (default 65536) — shard
-    indexes are immutable, so entries never expire.
-
-    [batching] (default [true]) sends each wave's probes as one
-    pipelined [BATCH] per shard; [false] restores one round trip per
-    probe — the distances and answers are identical either way (the
-    before/after lever for the bench and the equivalence tests).
+    Probe results ([CONNECTED] distances, nearest-start [ANCESTORS],
+    portal streams) are memoized up to [cache_cap] entries per table
+    (default 65536); a full table is reset. The memo only spares
+    probes: every request reads its answers from its own probe waves,
+    so any [cache_cap] gives the same answers.
 
     [query_cache] enables the coordinator-side {!Coord_cache} over
     merged [EVALUATE] results with the given LRU capacity; [None]
     (the default) disables it. Only clean (non-[TIMEOUT],
     non-[PARTIAL]) merges are cached.
 
-    [closure] supplies the portal-closure oracle. It is used only when
-    {!Portal_closure.matches} holds for [plan]; a mismatched closure is
-    dropped (and reported stale in [stats_lines]) so answers can never
-    be joined against the wrong plan. The closure's epoch is folded
+    [closure] is the portal-closure oracle, and it is required: raises
+    [Invalid_argument] (naming the fix, "rebuild with --build-shards")
+    when it is absent or {!Portal_closure.matches} does not hold for
+    [plan], so answers are never joined against the wrong plan. It is
+    optional in the signature only so callers can pass a manifest's
+    [closure option] straight through. The closure's epoch is folded
     into the [query_cache] key. *)
-
-val has_closure : t -> bool
-(** Whether a matching portal closure is loaded (a stale one does not
-    count). *)
 
 val closure_lookups_total : t -> int
 (** Closure label joins performed — the number behind
     [flix_coord_closure_lookups_total]. *)
 
 val closure_fallbacks_total : t -> int
-(** Requests that took the probed path because no usable closure was
-    loaded (only counted when the plan has cross links, i.e. when
-    probing actually costs something) — the number behind
-    [flix_coord_closure_fallbacks_total]. *)
+(** Always 0: the closure is mandatory, so no request falls back to
+    probing portal distances. Kept for callers that still report it. *)
 
 val backend : t -> Fx_server.Server.custom
 (** Serve with
@@ -127,9 +117,8 @@ val probe_rpcs_total : t -> int
     behind [flix_shard_probe_rpcs_total]. *)
 
 val probe_subs_total : t -> int
-(** Sub-requests carried by those round trips; with batching off the
-    two counters advance in lockstep, with batching on the spread is
-    the win ([flix_shard_probe_subs_total]). *)
+(** Sub-requests carried by those round trips; the spread between the
+    two counters is the batching win ([flix_shard_probe_subs_total]). *)
 
 val query_cache_stats : t -> Coord_cache.stats option
 (** Entries/hits/misses/epoch of the [EVALUATE] result cache, or
@@ -142,7 +131,8 @@ val reload :
   t ->
   plan:Shard_plan.t ->
   (t, string) result
-(** Shard-by-shard hot reload: probe every shard ([EPOCH], bounded by
+(** Shard-by-shard hot reload: check the candidate closure against
+    [plan], then probe every shard ([EPOCH], bounded by
     [probe_deadline_ms], default 2s), then fan [RELOAD] out to each
     (bounded by [reload_deadline_ms], default 120s), then build a
     replacement coordinator over [plan] (the re-read manifest's plan)
@@ -155,10 +145,9 @@ val reload :
 
     [closure] (default: the old coordinator's) is the candidate portal
     closure for the new plan — pass the one from the re-read manifest.
-    Either way it is used only if it matches [plan]; a mismatch drops
-    it as stale and queries take the wave-Dijkstra probed path until a
-    new closure is planned. The
-    merged-answer cache survives only when the plan digest is
+    When it does not match [plan] the reload returns [Error] before any
+    shard is probed or reloaded, and the old coordinator keeps serving.
+    The merged-answer cache survives only when the plan digest is
     unchanged (node ids and shard contents identical); otherwise it is
     invalidated whole. *)
 

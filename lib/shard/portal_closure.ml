@@ -62,6 +62,9 @@ let describe t =
 
 let manifest_magic = "FXSHARDMAN2"
 
+(* The retired plan-only format, recognized only to name the fix. *)
+let v1_magic = "FXSHARDMAN1"
+
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
 let save_manifest ~path ~plan closure =
@@ -110,20 +113,11 @@ let load_manifest path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let v2_prefix = manifest_magic ^ "\xff" in
-  let is_v2 =
-    String.length body >= String.length v2_prefix
-    && String.sub body 0 (String.length v2_prefix) = v2_prefix
-  in
-  if not is_v2 then
-    (* A v1 manifest (or anything else): the v1 loader owns the
-       diagnostics. Plans saved before the closure existed keep
-       loading; the coordinator just gets no oracle. *)
-    (Shard_plan.load path, None)
-  else begin
-    let r = Codec.Reader.create ~magic:manifest_magic body in
-    let plan = Shard_plan.read_body r in
-    let closure = read_closure r ~total_nodes:(Shard_plan.total_nodes plan) in
-    Codec.Reader.expect_end r;
-    (plan, closure)
-  end
+  if String.starts_with ~prefix:v1_magic body then
+    corrupt "manifest: %s is the retired closure-less format; rebuild with --build-shards"
+      v1_magic;
+  let r = Codec.Reader.create ~magic:manifest_magic body in
+  let plan = Shard_plan.read_body r in
+  let closure = read_closure r ~total_nodes:(Shard_plan.total_nodes plan) in
+  Codec.Reader.expect_end r;
+  (plan, closure)

@@ -2,19 +2,18 @@
     {!Portal_graph}, built on the weighted 2-hop labels of
     {!Fx_index.Two_hop.build_weighted} at shard-plan time.
 
-    With the closure loaded, the coordinator answers any cross-shard
-    portal distance with one in-memory label join instead of the probed
-    wave-at-a-time Dijkstra — the same number, byte for byte, because
-    portal-graph distances equal the probed search's distances (see
-    DESIGN.md for the decomposition argument). Document roots are in
-    the oracle too (anchors), so root-anchored queries skip even the
-    initial exit-probe wave.
+    The coordinator answers any cross-shard portal distance with one
+    in-memory label join: a shortest path between portals crosses
+    shards only over cross links, so its length is a portal-graph
+    distance (see DESIGN.md for the decomposition argument). Document
+    roots are in the oracle too (anchors), so root-anchored queries
+    skip even the initial exit-probe wave.
 
     The closure ships inside the manifest under the versioned
-    [FXSHARDMAN2] format; v1 manifests still load (without a closure)
-    and the coordinator falls back to probing. The [epoch] stamp —
-    {!Shard_plan.digest} of the plan the closure was built for — guards
-    against joining a closure to a different plan. *)
+    [FXSHARDMAN2] format; the retired plan-only [FXSHARDMAN1] format is
+    refused, since a coordinator cannot serve without a closure. The
+    [epoch] stamp — {!Shard_plan.digest} of the plan the closure was
+    built for — guards against joining a closure to a different plan. *)
 
 type t
 
@@ -38,7 +37,7 @@ val epoch : t -> int
 
 val matches : t -> Shard_plan.t -> bool
 (** [epoch t = Shard_plan.digest plan] — joining a closure against a
-    plan it does not match is never exact, so callers must fall back. *)
+    plan it does not match is never exact, so callers must refuse it. *)
 
 val n_nodes : t -> int
 val label_entries : t -> int
@@ -51,13 +50,13 @@ val describe : t -> string
 (** {1 The versioned manifest} *)
 
 val save_manifest : path:string -> plan:Shard_plan.t -> t option -> unit
-(** Write the [FXSHARDMAN2] manifest: the plan body plus the (optional)
-    closure section. Raises [Sys_error] on I/O failure. *)
+(** Write the [FXSHARDMAN2] manifest: the plan body plus the closure
+    section ([None] writes a manifest no coordinator will serve).
+    Raises [Sys_error] on I/O failure. *)
 
 val load_manifest : string -> Shard_plan.t * t option
-(** Load a manifest of either version: [FXSHARDMAN2] yields the plan
-    and its closure section; a v1 [FXSHARDMAN1] file loads through
-    {!Shard_plan.load} and yields no closure.
-    @raise Fx_util.Codec.Corrupt on mangled or truncated input (of
-    either version, including truncation inside the closure section).
+(** Load an [FXSHARDMAN2] manifest: the plan and its closure section.
+    @raise Fx_util.Codec.Corrupt on mangled or truncated input
+    (including truncation inside the closure section), and on a
+    retired [FXSHARDMAN1] file, naming "rebuild with --build-shards".
     @raise Sys_error if the file cannot be read. *)

@@ -221,10 +221,8 @@ let digest t =
 
 (* --- persistence ------------------------------------------------------ *)
 
-let magic = "FXSHARDMAN1"
-
-(* The body codec is shared between the v1 manifest ([save]/[load]) and
-   the v2 container {!Portal_closure.save_manifest} wraps around it. *)
+(* The plan body; {!Portal_closure.save_manifest} wraps it in the
+   versioned manifest container together with the closure. *)
 let write_body w t =
   Codec.Writer.int w t.n_shards;
   Codec.Writer.int w t.total_nodes;
@@ -243,14 +241,6 @@ let write_body w t =
       Codec.Writer.int w l.dst;
       Codec.Writer.string w l.dst_tag)
     t.cross
-
-let save ~path t =
-  let w = Codec.Writer.create ~magic in
-  write_body w t;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Codec.Writer.contents w))
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
@@ -291,18 +281,6 @@ let read_body r =
         { src; dst; dst_tag })
   in
   finish ~n_shards ~total_nodes ~docs ~cross
-
-let load path =
-  let ic = open_in_bin path in
-  let body =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let r = Codec.Reader.create ~magic body in
-  let t = read_body r in
-  Codec.Reader.expect_end r;
-  t
 
 let describe t =
   Printf.sprintf "shard plan: %d shards over %d documents, %d nodes, %d cross-shard links"

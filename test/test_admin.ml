@@ -2,7 +2,8 @@
    scoping, the scoped EVALUATE/query caches, incremental Flix
    maintenance checked byte-for-byte against cold rebuilds, the admin
    verbs over a live server (including wire framing failure modes), and
-   coordinator reload rollback with a dead shard. *)
+   coordinator reload rollback with a dead shard or a mismatched portal
+   closure. *)
 
 module C = Fx_xml.Collection
 module X = Fx_xml.Xml_types
@@ -22,6 +23,7 @@ module Rng = Fx_util.Rng
 module Dblp = Fx_workload.Dblp_gen
 module Plan = Fx_shard.Shard_plan
 module Coordinator = Fx_shard.Coordinator
+module Portal_closure = Fx_shard.Portal_closure
 module Coord_cache = Fx_shard.Coord_cache
 
 (* --- snapshot -------------------------------------------------------- *)
@@ -542,26 +544,53 @@ let server_ingest_framing () =
 
 (* --- coordinator hot reload ------------------------------------------- *)
 
+(* A 2-shard plan over [coll], its shard sub-collections, and the
+   portal closure for it, built from each shard's HOPI as
+   --build-shards does. *)
+let sharded coll =
+  let plan = Plan.plan ~n_shards:2 coll in
+  let subs = Plan.shard_documents plan coll |> Array.map C.build in
+  let hopis =
+    Array.map
+      (fun sub ->
+        Fx_index.Hopi.build { Fx_index.Path_index.graph = C.graph sub; tag = C.tag sub })
+      subs
+  in
+  let closure =
+    Portal_closure.build ~plan ~local_dist:(fun ~shard ~a ~b ->
+        Fx_index.Hopi.distance hopis.(shard) a b)
+  in
+  (plan, subs, closure)
+
+(* In-memory shard servers whose RELOAD re-serves the same index. *)
+let reloadable_shards subs =
+  Array.map
+    (fun sub ->
+      let fx = Flix.build sub in
+      let admin =
+        {
+          Server.admin_reload = (fun () -> Ok (Server.In_memory fx));
+          admin_retire = (fun _ -> ());
+        }
+      in
+      Server.start_backend ~admin (Server.In_memory fx))
+    subs
+
+let addresses servers =
+  Array.to_list servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
+
+(* One EVALUATE straight through a coordinator's backend. *)
+let ask_coordinator coord =
+  (Coordinator.backend coord).Server.custom_eval
+    ~emit:(fun _ -> ())
+    ~deadline_ns:(Int64.add (Fx_util.Stopwatch.now_ns ()) 2_000_000_000L)
+    (P.Evaluate { start_tag = "article"; target_tag = "author"; k = 3; max_dist = None })
+
 let coordinator_reload () =
   let coll = Dblp.collection { Dblp.default with n_docs = 60; seed = 3 } in
-  let plan = Plan.plan ~n_shards:2 coll in
-  let shard_flixes =
-    Plan.shard_documents plan coll |> Array.map (fun docs -> Flix.build (C.build docs))
-  in
-  let admin_for fx =
-    {
-      Server.admin_reload = (fun () -> Ok (Server.In_memory fx));
-      admin_retire = (fun _ -> ());
-    }
-  in
-  let shard_servers =
-    Array.map
-      (fun fx -> Server.start_backend ~admin:(admin_for fx) (Server.In_memory fx))
-      shard_flixes
-  in
-  let shards =
-    Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
-  in
+  let plan, subs, closure = sharded coll in
+  let shard_servers = reloadable_shards subs in
+  let shards = addresses shard_servers in
   let coords = ref [] in
   let track c =
     coords := c :: !coords;
@@ -572,7 +601,7 @@ let coordinator_reload () =
       List.iter Coordinator.close !coords;
       Array.iter Server.stop shard_servers)
     (fun () ->
-      let coord = ref (track (Coordinator.create ~plan ~shards ())) in
+      let coord = ref (track (Coordinator.create ~closure ~plan ~shards ())) in
       let admin =
         {
           Server.admin_reload =
@@ -625,17 +654,11 @@ let coordinator_reload () =
 (* Coordinator.reload alone: rollback leaves the old coordinator whole. *)
 let coordinator_reload_rollback () =
   let coll = Dblp.collection { Dblp.default with n_docs = 40; seed = 8 } in
-  let plan = Plan.plan ~n_shards:2 coll in
-  let shard_flixes =
-    Plan.shard_documents plan coll |> Array.map (fun docs -> Flix.build (C.build docs))
-  in
+  let plan, subs, closure = sharded coll in
   let shard_servers =
-    Array.map (fun fx -> Server.start_backend (Server.In_memory fx)) shard_flixes
+    Array.map (fun sub -> Server.start_backend (Server.In_memory (Flix.build sub))) subs
   in
-  let shards =
-    Array.to_list shard_servers |> List.map (fun s -> ("127.0.0.1", Server.port s))
-  in
-  let coord = Coordinator.create ~plan ~shards () in
+  let coord = Coordinator.create ~closure ~plan ~shards:(addresses shard_servers) () in
   Fun.protect
     ~finally:(fun () ->
       Coordinator.close coord;
@@ -656,22 +679,54 @@ let coordinator_reload_rollback () =
       | Ok _ -> Alcotest.fail "shard-count mismatch must fail"
       | Error _ -> ());
       (* the old coordinator still answers *)
-      let stream =
-        let items = ref [] in
-        let resp =
-          (Coordinator.backend coord).Server.custom_eval
-            ~emit:(fun it -> items := it :: !items)
-            ~deadline_ns:(Int64.add (Fx_util.Stopwatch.now_ns ()) 2_000_000_000L)
-            (P.Evaluate
-               { start_tag = "article"; target_tag = "author"; k = 3; max_dist = None })
-        in
-        (resp, List.rev !items)
-      in
-      match stream with
-      | P.Items { timed_out = false; partial = false; _ }, _ -> ()
-      | resp, _ ->
+      match ask_coordinator coord with
+      | P.Items { timed_out = false; partial = false; _ } -> ()
+      | resp ->
           Alcotest.failf "old coordinator degraded after failed reload: %s"
             (String.concat "|" (P.response_lines resp)))
+
+(* A candidate closure that does not match the new plan is refused
+   before any shard is touched: no shard's epoch moves, and the old
+   coordinator keeps answering. *)
+let coordinator_reload_bad_closure () =
+  let dblp n_docs seed = Dblp.collection { Dblp.default with n_docs; seed } in
+  let plan, subs, closure = sharded (dblp 60 3) in
+  let _, _, foreign = sharded (dblp 30 6) in
+  let shard_servers = reloadable_shards subs in
+  let coord = Coordinator.create ~closure ~plan ~shards:(addresses shard_servers) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.close coord;
+      Array.iter Server.stop shard_servers)
+    (fun () ->
+      let epochs () =
+        Array.to_list shard_servers
+        |> List.map (fun s ->
+               let c = Client.connect ~port:(Server.port s) () in
+               Fun.protect
+                 ~finally:(fun () -> Client.close c)
+                 (fun () -> expect_value "shard epoch" (Client.epoch c)))
+      in
+      (match Coordinator.reload ~closure:foreign coord ~plan with
+      | Ok _ -> Alcotest.fail "a mismatched closure must refuse the reload"
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "refusal names the fix: %s" msg)
+            true
+            (Astring.String.is_infix ~affix:"rebuild with --build-shards" msg));
+      Alcotest.(check (list int)) "no shard reloaded" [ 1; 1 ] (epochs ());
+      (match ask_coordinator coord with
+      | P.Items { timed_out = false; partial = false; _ } -> ()
+      | resp ->
+          Alcotest.failf "old coordinator degraded after the refused reload: %s"
+            (String.concat "|" (P.response_lines resp)));
+      (* Control: with its own closure the same reload does reach every
+         shard. *)
+      match Coordinator.reload coord ~plan with
+      | Error e -> Alcotest.failf "reload with the matching closure failed: %s" e
+      | Ok fresh ->
+          Coordinator.close fresh;
+          Alcotest.(check (list int)) "every shard reloaded" [ 2; 2 ] (epochs ()))
 
 let () =
   Alcotest.run "admin"
@@ -709,5 +764,7 @@ let () =
         [
           Alcotest.test_case "hot reload via front server" `Quick coordinator_reload;
           Alcotest.test_case "rollback on failure" `Quick coordinator_reload_rollback;
+          Alcotest.test_case "reload refuses a mismatched closure" `Quick
+            coordinator_reload_bad_closure;
         ] );
     ]
